@@ -89,14 +89,14 @@ def cmd_verify_sic(args) -> int:
         obj = _load_object(args.path)
     elements = obj.effects if isinstance(obj, states.Povm) else obj.states
     cert = sic.is_sic(elements)
-    verdict = "PASS" if cert.passes else "FAIL"
-    text = (
-        f"{verdict}: d={cert.dim} elements={cert.element_count} "
-        f"lambda={cert.lam:.6f} trace_dev={cert.max_trace_deviation:.3e} "
-        f"pairwise_dev={cert.max_pairwise_deviation:.3e}\n"
-        + json.dumps(cert.to_json_dict(), indent=2)
-        + "\n"
-    )
+    text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
+    if args.format != "json":
+        verdict = "PASS" if cert.passes else "FAIL"
+        text = (
+            f"{verdict}: d={cert.dim} elements={cert.element_count} "
+            f"lambda={cert.lam:.6f} trace_dev={cert.max_trace_deviation:.3e} "
+            f"pairwise_dev={cert.max_pairwise_deviation:.3e}\n" + text
+        )
     _emit(text, args.out)
     return 0 if cert.passes else 1
 

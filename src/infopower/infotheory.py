@@ -163,7 +163,7 @@ def pg_sic_value(d: int) -> float:
 def pg_sic_closed_form(d: int) -> float:
     """Closed-form variant (2d/(d^2(d+1))) log d - ((d-1)/(d^2(d+1))) log(d+1).
 
-    Disagrees with the direct evaluation pg_sic_value (0.201180 vs 0.207519
+    Disagrees with the direct evaluation pg_sic_value (0.201253 vs 0.207519
     at d=2); kept only so the discrepancy can be reported, never used as a
     reference value.
     """

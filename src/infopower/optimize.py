@@ -4,8 +4,9 @@ The state searches run Riemannian steepest descent on the unit sphere:
 Euclidean gradient projected onto the tangent space, normalization
 retraction, backtracking (Armijo) line search. The informational-power
 search alternates that with a multiplicative prior reweighting, see-saw
-style. Every routine is deterministic for a fixed seed; each start owns a
-private PRNG stream derived from (seed, start index).
+style. A multi-start search runs all of its starts at once as one stack
+of states. Every routine is deterministic for a fixed seed; each start owns
+a private PRNG stream derived from (seed, start index).
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidDimension, InvalidPovm
-from .infotheory import _entropy_bits
+from .errors import InvalidDimension, InvalidInput, InvalidPovm
+from .infotheory import _ZERO_PROB, _entropy_bits
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -24,6 +25,7 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
+_SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
 
 RNG_ALGORITHM = "pcg64"
 
@@ -96,130 +98,199 @@ def _start_rngs(seed: int, starts: int):
     ]
 
 
+def _check_run(starts: int, seed: int) -> None:
+    if starts < 1:
+        raise InvalidInput("starts must be >= 1")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+
+
 def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
     z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _outcome_probs(effects: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.clip(np.einsum("yij,i,j->y", effects, psi.conj(), psi).real, 0.0, None)
+# Kernels on stacked pure states: every function maps the trailing axis and
+# broadcasts over the leading ones, so a call serves one state or all starts.
+
+
+def _born(effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Outcome probabilities <psi|E_y|psi>: states (..., d) -> (..., n)."""
+    return np.maximum(np.einsum("yij,...i,...j->...y", effects, psis.conj(), psis).real, 0.0)
+
+
+def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Euclidean gradient 2 sum_y coef_y E_y psi of sum_y f(q_y), coef = f'(q)."""
+    return 2.0 * np.einsum("...y,yij,...j->...i", coef, effects, psis)
+
+
+def _entropy_coef(q: np.ndarray) -> np.ndarray:
+    """Derivative of the outcome entropy in bits with respect to each q_y."""
+    return -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
+
+
+def _entropy_rows(q: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of every row of q (..., n)."""
+    keep = q > _ZERO_PROB
+    return -np.sum(np.where(keep, q * np.log2(np.where(keep, q, 1.0)), 0.0), axis=-1)
+
+
+# Row products go through matmul, which runs the same BLAS dot and gemv
+# kernels per row as np.vdot, np.linalg.norm and `@` run on a single state,
+# so a start in the stack rounds exactly as a start searched on its own
+# with those calls. einsum or a ufunc sum differ in the last bit, and that
+# is enough to send a few starts of the see-saw to another optimum.
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i of every row: (..., d), (..., d) -> (...)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _outcome_marginal(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Outcome distribution sum_x w_x p(y|x): (..., m), (..., m, n) -> (..., n)."""
+    return (weights[..., None, :] @ cond)[..., 0, :]
 
 
 def _project_tangent(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g - np.real(np.vdot(psi, g)) * psi
+    return g - _row_dot(psi.conj(), g).real[..., None] * psi
+
+
+def _norm(psi: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dot(psi.real, psi.real) + _row_dot(psi.imag, psi.imag))
+
+
+def _normalize(psi: np.ndarray) -> np.ndarray:
+    return psi / _norm(psi)[..., None]
 
 
 def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     """Riemannian gradient of the outcome entropy at a pure state."""
     psi = hilbert.check_state_vector(psi)
     effects = p.stack()
-    q = _outcome_probs(effects, psi)
-    coef = -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
-    g = 2.0 * np.einsum("y,yij,j->i", coef, effects, psi)
+    g = _effect_gradient(_entropy_coef(_born(effects, psi)), effects, psi)
     return _project_tangent(psi, g)
 
 
 def _riemannian_descent(objective, gradient, psi, trace=None):
-    """Minimize objective over the unit sphere from psi.
+    """Minimize objective over the unit sphere from every row of psi (R, d).
 
-    Returns (state, value, iterations, converged). If trace is a list, the
-    objective value after every accepted step is appended to it.
+    objective(states, rows) -> (k,) and gradient(states, rows) -> (k, d) are
+    evaluated on the states (k, d) of the rows listed in rows, so a row may
+    carry its own parameters. Each row runs its own Armijo line search and
+    stops on its own test. Returns (states, values, iterations, converged),
+    one entry per row. If trace is a list, the values of all rows are
+    appended to it initially and after every step; a stopped row repeats its
+    final value.
     """
-    value = objective(psi)
+    psi = np.array(psi, dtype=complex)
+    live = np.arange(len(psi))
+    value = objective(psi, live)
+    iterations = np.full(len(psi), MAX_ITER)
+    converged = np.zeros(len(psi), dtype=bool)
     if trace is not None:
-        trace.append(value)
+        trace.append(value.copy())
     for it in range(1, MAX_ITER + 1):
-        g = _project_tangent(psi, gradient(psi))
-        gnorm = np.linalg.norm(g)
-        if gnorm < GRAD_TOL:
-            return psi, value, it - 1, True
-        step = 1.0
-        accepted = False
-        while step > _MIN_STEP:
-            cand = psi - step * g
-            cand /= np.linalg.norm(cand)
-            cand_value = objective(cand)
-            if cand_value <= value - _ARMIJO_C * step * gnorm**2:
-                accepted = True
-                break
-            step *= _ARMIJO_SHRINK
-        if not accepted:
-            return psi, value, it - 1, True
-        decrease = value - cand_value
-        psi, value = cand, cand_value
+        base, start_value = psi[live], value[live]
+        g = _project_tangent(base, gradient(base, live))
+        gnorm = _norm(g)
+        # backtracking line search, one step length per row
+        step = np.ones(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        new_value = start_value.copy()
+        search = np.flatnonzero(~(gnorm < GRAD_TOL))
+        while search.size:
+            s = step[search]
+            trial = _normalize(base[search] - s[:, None] * g[search])
+            trial_value = objective(trial, live[search])
+            ok = trial_value <= start_value[search] - _ARMIJO_C * s * gnorm[search] ** 2
+            hit = search[ok]
+            moved[hit] = True
+            base[hit], new_value[hit] = trial[ok], trial_value[ok]
+            search = search[~ok]
+            step[search] *= _ARMIJO_SHRINK
+            search = search[step[search] > _MIN_STEP]
+        psi[live], value[live] = base, new_value
         if trace is not None:
-            trace.append(value)
-        if decrease < CONV_TOL:
-            return psi, value, it, True
-    return psi, value, MAX_ITER, False
+            trace.append(value.copy())
+        # a flat gradient or a failed line search ends a row before this step
+        iterations[live[~moved]] = it - 1
+        small = moved & (start_value - new_value < CONV_TOL)
+        iterations[live[small]] = it
+        converged[live[~moved | small]] = True
+        live = live[moved & ~small]
+        if not live.size:
+            break
+    return psi, value, iterations, converged
 
 
 def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> OptimizationReport:
-    """Multi-start minimization of the outcome entropy H(Y|X=x) over pure states."""
-    if starts < 1:
-        raise InvalidPovm("starts must be >= 1")
+    """Multi-start minimization of the outcome entropy H(Y|X=x) over pure states.
+
+    All starts descend together as one stack, each from a Haar state drawn
+    from its own stream.
+    """
+    _check_run(starts, seed)
     effects = p.stack()
 
-    def objective(psi):
-        return _entropy_bits(_outcome_probs(effects, psi))
+    def objective(psi, rows):
+        return _entropy_rows(_born(effects, psi))
 
-    def gradient(psi):
-        q = _outcome_probs(effects, psi)
-        coef = -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
-        return 2.0 * np.einsum("y,yij,j->i", coef, effects, psi)
+    def gradient(psi, rows):
+        return _effect_gradient(_entropy_coef(_born(effects, psi)), effects, psi)
 
-    best_value, best_state = np.inf, None
-    iterations, values, converged_count = [], [], 0
-    for rng in _start_rngs(seed, starts):
-        psi0 = _haar_from_rng(rng, p.dim)[0]
-        psi, value, iters, converged = _riemannian_descent(objective, gradient, psi0)
-        iterations.append(iters)
-        values.append(value)
-        converged_count += converged
-        if value < best_value:
-            best_value, best_state = value, psi
+    rngs = _start_rngs(seed, starts)
+    psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in rngs])
+    psis, values, iterations, converged = _riemannian_descent(objective, gradient, psi0)
+    best = int(np.argmin(values))
     return OptimizationReport(
-        best_value=float(best_value),
-        best_states=[(1.0, best_state)],
+        best_value=float(values[best]),
+        best_states=[(1.0, psis[best])],
         starts=starts,
-        converged_starts=converged_count,
-        iterations_per_start=iterations,
-        values_per_start=values,
+        converged_starts=int(converged.sum()),
+        iterations_per_start=iterations.tolist(),
+        values_per_start=values.tolist(),
         seed=seed,
         tolerance_used=CONV_TOL,
     )
 
 
-def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> float:
-    """I(X;Y) in bits from a prior and a conditional outcome matrix."""
-    joint = weights[:, None] * cond
-    q = joint.sum(axis=0)
+def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits of every stacked prior (..., m) and conditional matrix (..., m, n)."""
+    joint = weights[..., None] * cond
+    q = joint.sum(axis=-2)
     mask = joint > _LOG_FLOOR
-    ratio = np.where(mask, cond / np.maximum(q[None, :], _LOG_FLOOR), 1.0)
-    return float(np.sum(np.where(mask, joint * np.log2(ratio), 0.0)))
+    ratio = np.where(mask, cond / np.maximum(q[..., None, :], _LOG_FLOOR), 1.0)
+    return np.sum(np.where(mask, joint * np.log2(ratio), 0.0), axis=(-2, -1))
 
 
 def _reweight_prior(
     weights: np.ndarray, cond: np.ndarray, max_sweeps: int = 60
 ) -> np.ndarray:
-    """Multiplicative capacity-style prior update.
+    """Multiplicative capacity-style update of every row's prior.
 
     Each sweep multiplies every weight by exp of the divergence of its
-    conditional from the current outcome marginal; truncated at max_sweeps
-    since the surrounding see-saw reinvokes it every outer iteration.
+    conditional from the current outcome marginal. A row freezes once its
+    largest change falls below CONV_TOL; all rows stop at max_sweeps, since
+    the surrounding see-saw reinvokes this every outer iteration.
     """
     w = weights.copy()
     logc = np.where(cond > _LOG_FLOOR, np.log(np.maximum(cond, _LOG_FLOOR)), 0.0)
-    c_logc = np.einsum("xy,xy->x", cond, logc)
+    c_logc = np.einsum("...xy,...xy->...x", cond, logc)
+    rows, wr = np.arange(len(w)), w
     for _ in range(max_sweeps):
-        q = w @ cond
-        kl = c_logc - cond @ np.log(np.maximum(q, _LOG_FLOOR))
-        new = w * np.exp(kl)
-        new /= new.sum()
-        delta = np.max(np.abs(new - w))
-        w = new
-        if delta < CONV_TOL:
-            break
+        log_q = np.log(np.maximum(_outcome_marginal(wr, cond), _LOG_FLOOR))
+        kl = c_logc - (cond @ log_q[..., None])[..., 0]
+        new = wr * np.exp(kl)
+        new /= new.sum(axis=-1, keepdims=True)
+        moving = ~(np.max(np.abs(new - wr), axis=-1) < CONV_TOL)
+        wr = new
+        if not moving.all():
+            w[rows[~moving]] = new[~moving]
+            rows, wr, cond, c_logc = rows[moving], new[moving], cond[moving], c_logc[moving]
+            if not rows.size:
+                break
+    w[rows] = wr
     return w
 
 
@@ -237,12 +308,13 @@ def informational_power_lower_bound(
 
     See-saw over ensembles of at most max_support (default d^2) pure states:
     alternate a multiplicative prior reweighting with per-state Riemannian
-    ascent of the mutual information, multi-started over Haar seeds. The
-    returned best_value is the mutual information of the reported ensemble,
-    recomputed from the final states and weights.
+    ascent of the mutual information, multi-started over Haar seeds. All
+    starts advance together as one stack; a start leaves it when it
+    converges or reaches MAX_ITER. The returned best_value is the mutual
+    information of the reported ensemble, recomputed from the final states
+    and weights.
     """
-    if starts < 1:
-        raise InvalidPovm("starts must be >= 1")
+    _check_run(starts, seed)
     d = p.dim
     m = max_support if max_support is not None else d * d
     if m < 1:
@@ -264,125 +336,129 @@ def informational_power_lower_bound(
             tolerance_used=CONV_TOL,
         )
 
-    def conditionals(psis):
-        return np.clip(
-            np.einsum("yij,xi,xj->xy", effects, psis.conj(), psis).real, 0.0, None
-        )
+    rngs = _start_rngs(seed, starts)
+    # the live starts' states (k, m, d), priors (k, m) and conditionals (k, m, n)
+    psis = np.stack([_haar_from_rng(rng, d, m) for rng in rngs])
+    weights = np.full((starts, m), 1.0 / m)
+    cond = _born(effects, psis)
+    value = _mutual_information_bits(weights, cond)
+    augmentations = np.zeros(starts, dtype=int)
+    live = np.arange(starts)
 
-    best_value, best_states, best_weights = -np.inf, None, None
-    iterations, values, converged_count = [], [], 0
-    for rng in _start_rngs(seed, starts):
-        psis = _haar_from_rng(rng, d, m)
-        weights = np.full(m, 1.0 / m)
-        cond = conditionals(psis)
-        value = _mutual_information_bits(weights, cond)
-        converged = False
-        outer = 0
-        augmentations = 0
-        for outer in range(1, MAX_ITER + 1):
-            weights = _reweight_prior(weights, cond)
-            for x in range(m):
-                psis, cond = _ascend_state(effects, psis, cond, weights, x)
-            new_value = _mutual_information_bits(weights, cond)
-            if new_value - value < CONV_TOL:
-                value = max(new_value, value)
-                # first-order optimality: every pure state must satisfy
-                # D(q_phi || q_bar) <= I; inject any violating state found
-                phi, divergence = _best_divergent_state(
-                    effects, weights @ cond, rng, d
-                )
-                if divergence > value + 10 * CONV_TOL and augmentations < 20:
-                    augmentations += 1
-                    x = int(np.argmin(weights))
-                    psis = psis.copy()
-                    psis[x] = phi
-                    weights = weights.copy()
-                    weights[x] = max(weights[x], 0.05)
-                    weights /= weights.sum()
-                    cond = conditionals(psis)
-                    value = _mutual_information_bits(weights, cond)
-                    continue
-                converged = True
-                break
-            value = new_value
-        iterations.append(outer)
-        values.append(value)
-        converged_count += converged
-        if value > best_value:
-            best_value = value
-            best_states = psis.copy()
-            best_weights = weights.copy()
+    final_psis, final_weights = psis.copy(), weights.copy()
+    values = np.zeros(starts)
+    iterations = np.full(starts, MAX_ITER)
+    converged = np.zeros(starts, dtype=bool)
+
+    for outer in range(1, MAX_ITER + 1):
+        weights = _reweight_prior(weights, cond)
+        for x in range(m):
+            _ascend_state(effects, psis, cond, weights, x)
+        new_value = _mutual_information_bits(weights, cond)
+        stalled = new_value - value < CONV_TOL
+        value = np.where(stalled, np.maximum(new_value, value), new_value)
+        done = np.zeros(len(live), dtype=bool)
+        st = np.flatnonzero(stalled)
+        if st.size:
+            # first-order optimality: every pure state must satisfy
+            # D(q_phi || q_bar) <= I; inject any violating state found
+            phi, divergence = _best_divergent_state(
+                effects,
+                _outcome_marginal(weights[st], cond[st]),
+                [rngs[s] for s in live[st]],
+                d,
+            )
+            inject = (divergence > value[st] + 10 * CONV_TOL) & (augmentations[st] < 20)
+            done[st[~inject]] = True
+            inj = st[inject]
+            if inj.size:
+                augmentations[inj] += 1
+                x = np.argmin(weights[inj], axis=1)
+                psis[inj, x] = phi[inject]
+                weights[inj, x] = np.maximum(weights[inj, x], 0.05)
+                weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
+                cond[inj] = _born(effects, psis[inj])
+                value[inj] = _mutual_information_bits(weights[inj], cond[inj])
+        ended = live[done]
+        iterations[ended], converged[ended], values[ended] = outer, True, value[done]
+        final_psis[ended], final_weights[ended] = psis[done], weights[done]
+        keep = ~done
+        live, psis, weights, cond = live[keep], psis[keep], weights[keep], cond[keep]
+        value, augmentations = value[keep], augmentations[keep]
+        if not live.size:
+            break
+    final_psis[live], final_weights[live], values[live] = psis, weights, value
+
+    best = int(np.argmax(values))
+    best_weights = final_weights[best]
     return OptimizationReport(
-        best_value=float(best_value),
-        best_states=list(zip(best_weights.tolist(), best_states)),
+        best_value=float(values[best]),
+        best_states=list(zip(best_weights.tolist(), final_psis[best])),
         starts=starts,
-        converged_starts=converged_count,
-        iterations_per_start=iterations,
-        values_per_start=values,
+        converged_starts=int(converged.sum()),
+        iterations_per_start=iterations.tolist(),
+        values_per_start=values.tolist(),
         seed=seed,
         tolerance_used=CONV_TOL,
         any_zero_weight=bool(np.any(best_weights < _LOG_FLOOR)),
     )
 
 
-def _best_divergent_state(effects, q_bar, rng, dim, restarts=3):
-    """Pure state maximizing the divergence of its outcome distribution from
-    a fixed outcome marginal, found by multi-start sphere descent."""
-    q_bar = np.maximum(q_bar, _LOG_FLOOR)
+def _best_divergent_state(effects, q_bar, rngs, dim, restarts=3):
+    """For every row of the outcome marginals q_bar (k, n), the pure state
+    maximizing the divergence of its outcome distribution from that row,
+    found by sphere descent from restarts Haar states drawn from the row's
+    stream in rngs. Returns the states (k, d) and divergences (k,)."""
+    q_bar = np.repeat(np.maximum(q_bar, _LOG_FLOOR), restarts, axis=0)
 
-    def objective(phi):
-        q = _outcome_probs(effects, phi)
+    def objective(phi, rows):
+        q = _born(effects, phi)
         mask = q > _LOG_FLOOR
-        return -float(
-            np.sum(np.where(mask, q * np.log2(np.maximum(q, _LOG_FLOOR) / q_bar), 0.0))
-        )
+        log_ratio = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar[rows])
+        return -np.sum(np.where(mask, q * log_ratio, 0.0), axis=-1)
 
-    def gradient(phi):
-        q = _outcome_probs(effects, phi)
-        coef = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar) + 1.0 / np.log(2)
-        return -2.0 * np.einsum("y,yij,j->i", coef, effects, phi)
+    def gradient(phi, rows):
+        coef = np.log2(np.maximum(_born(effects, phi), _LOG_FLOOR) / q_bar[rows])
+        return _effect_gradient(-(coef + 1.0 / np.log(2)), effects, phi)
 
-    best_div, best_phi = -np.inf, None
-    for _ in range(restarts):
-        phi0 = _haar_from_rng(rng, dim)[0]
-        phi, neg_div, _, _ = _riemannian_descent(objective, gradient, phi0)
-        if -neg_div > best_div:
-            best_div, best_phi = -neg_div, phi
-    return best_phi, best_div
+    phi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
+    phi, neg_div, _, _ = _riemannian_descent(objective, gradient, phi0)
+    divergence = -neg_div.reshape(-1, restarts)
+    best = np.argmax(divergence, axis=1)
+    rows = np.arange(len(best))
+    return phi.reshape(-1, restarts, dim)[rows, best], divergence[rows, best]
 
 
 def _ascend_state(effects, psis, cond, weights, x):
-    """One backtracking ascent step of the mutual information in state x."""
-    wx = weights[x]
-    if wx < _LOG_FLOOR:
-        return psis, cond
-    value = _mutual_information_bits(weights, cond)
-    q = weights @ cond
-    coef = wx * np.log2(
-        np.maximum(cond[x], _LOG_FLOOR) / np.maximum(q, _LOG_FLOOR)
+    """One backtracking ascent step of the mutual information in state x of
+    every row of the stacked ensembles; updates psis and cond in place."""
+    wx = weights[:, x]
+    rows = np.flatnonzero(~(wx < _LOG_FLOOR))
+    w, c, psi = weights[rows], cond[rows], psis[rows, x]
+    value = _mutual_information_bits(w, c)
+    q = _outcome_marginal(w, c)
+    coef = wx[rows, None] * np.log2(
+        np.maximum(c[:, x], _LOG_FLOOR) / np.maximum(q, _LOG_FLOOR)
     )
-    g = 2.0 * np.einsum("y,yij,j->i", coef, effects, psis[x])
-    g = _project_tangent(psis[x], g)
-    gnorm = np.linalg.norm(g)
-    if gnorm < GRAD_TOL:
-        return psis, cond
-    step = 1.0
-    while step > _MIN_STEP:
-        cand = psis[x] + step * g
-        cand /= np.linalg.norm(cand)
-        new_cond = cond.copy()
-        new_cond[x] = np.clip(
-            np.einsum("yij,i,j->y", effects, cand.conj(), cand).real, 0.0, None
+    g = _project_tangent(psi, _effect_gradient(coef, effects, psi))
+    gnorm = _norm(g)
+    step = np.ones(len(rows))
+    search = np.flatnonzero(~(gnorm < GRAD_TOL))
+    while search.size:
+        s = step[search]
+        cand = _normalize(psi[search] + s[:, None] * g[search])
+        new_cond = c[search]
+        new_cond[:, x] = _born(effects, cand)
+        ok = (
+            _mutual_information_bits(w[search], new_cond)
+            >= value[search] + _ARMIJO_C * s * gnorm[search] ** 2
         )
-        if (
-            _mutual_information_bits(weights, new_cond)
-            >= value + _ARMIJO_C * step * gnorm**2
-        ):
-            psis = psis.copy()
-            psis[x] = cand
-            return psis, new_cond
-        step *= _ARMIJO_SHRINK
-    return psis, cond
+        hit = rows[search[ok]]
+        psis[hit, x] = cand[ok]
+        cond[hit, x] = new_cond[ok, x]
+        search = search[~ok]
+        step[search] *= _ARMIJO_SHRINK
+        search = search[step[search] > _MIN_STEP]
 
 
 def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
@@ -390,18 +466,24 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
 
     Measures an ensemble of `samples` Haar states with the computational
     basis; the mutual information converges to
-    log2(d) - (1/ln 2) sum_{n=2}^d 1/n as the sample count grows.
+    log2(d) - (1/ln 2) sum_{n=2}^d 1/n as the sample count grows. Samples
+    are drawn and reduced _SAMPLE_CHUNK at a time, so memory stays bounded
+    whatever the sample count.
     """
     if d < 2:
         raise InvalidDimension(f"dimension {d} < 2")
     if samples < d * d:
         raise InvalidDimension(f"need at least d^2 = {d * d} samples")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     sampler = HaarSampler(d, seed)
-    psis = sampler.states(samples)
-    q = np.abs(psis) ** 2
-    q_mean = q.mean(axis=0)
-    per_state = -np.sum(np.where(q > _LOG_FLOOR, q * np.log2(np.maximum(q, _LOG_FLOOR)), 0.0), axis=1)
-    value = _entropy_bits(q_mean) - float(per_state.mean())
+    q_sum = np.zeros(d)
+    entropy_sum = 0.0
+    for done in range(0, samples, _SAMPLE_CHUNK):
+        q = np.abs(sampler.states(min(_SAMPLE_CHUNK, samples - done))) ** 2
+        q_sum += q.sum(axis=0)
+        entropy_sum += float(_entropy_rows(q).sum())
+    value = _entropy_bits(q_sum / samples) - entropy_sum / samples
     return max(value, 0.0)
 
 

@@ -64,6 +64,12 @@ class TestVerifySic:
         assert code == 0
         assert "lambda=0.333333" in out
 
+    def test_json_format_is_only_json(self, capsys):
+        code, out = run(capsys, "verify-sic", "--builtin", "tetrahedral", "--format", "json")
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["lambda"] == 0.5
+
     def test_perturbed_file_fails_with_exit_1(self, capsys, tmp_path):
         p = sic.tetrahedral_povm()
         eps = 1e-3
@@ -173,6 +179,27 @@ class TestOptimizerCommands:
         assert code == 0
         report = json.loads(out)
         assert abs(report["best_value"] - np.log2(3)) < 1e-6
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--builtin", "tetrahedral", "--starts", "2"],
+            ["minent", "--builtin", "qutrit", "--starts", "2"],
+            ["scrooge", "--dim", "2", "--samples", "100"],
+        ],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code = main([*argv, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_zero_starts_is_usage_error(self, capsys):
+        code = main(["power", "--builtin", "tetrahedral", "--starts", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestOutputContracts:

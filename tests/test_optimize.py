@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infopower import infotheory, optimize, sic
-from infopower.errors import InvalidDimension
+from infopower.errors import InvalidDimension, InvalidInput
 from infopower.infotheory import (
     conditional_output_entropy,
     joint_distribution,
@@ -177,22 +177,91 @@ class TestGradient:
         p = sic.tetrahedral_povm()
         effects = p.stack()
 
-        def objective(psi):
-            q = np.clip(np.einsum("yij,i,j->y", effects, psi.conj(), psi).real, 0, None)
-            return infotheory._entropy_bits(q)
+        def born(psi):
+            return np.clip(np.einsum("yij,ri,rj->ry", effects, psi.conj(), psi).real, 0, None)
 
-        def gradient(psi):
-            q = np.clip(np.einsum("yij,i,j->y", effects, psi.conj(), psi).real, 0, None)
-            coef = -(np.log2(np.maximum(q, 1e-18)) + 1 / np.log(2))
-            return 2.0 * np.einsum("y,yij,j->i", coef, effects, psi)
+        def objective(psi, rows):
+            return np.array([infotheory._entropy_bits(q) for q in born(psi)])
+
+        def gradient(psi, rows):
+            coef = -(np.log2(np.maximum(born(psi), 1e-18)) + 1 / np.log(2))
+            return 2.0 * np.einsum("ry,yij,rj->ri", coef, effects, psi)
 
         rng = np.random.default_rng(15)
+        starts = []
         for _ in range(20):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            trace = []
-            _riemannian_descent(objective, gradient, z / np.linalg.norm(z), trace=trace)
-            diffs = np.diff(trace)
-            assert np.all(diffs <= CONV_TOL)
+            starts.append(z / np.linalg.norm(z))
+        trace = []
+        _riemannian_descent(objective, gradient, np.array(starts), trace=trace)
+        diffs = np.diff(np.array(trace), axis=0)
+        assert np.all(diffs <= CONV_TOL)
+
+
+class TestBatchedStarts:
+    """All starts run as one stack; each start still follows the trajectory
+    it had when starts ran one after the other."""
+
+    # values_per_start and iterations_per_start of the one-start-at-a-time
+    # see-saw and sphere descent for the same calls
+    SERIAL = {
+        "power-tetrahedral": (
+            [
+                0.4150374992787733,
+                0.41503749927878786,
+                0.415037499278813,
+                0.4150374992787915,
+                0.41503749891934216,
+                0.415037498949904,
+            ],
+            [48, 31, 65, 50, 66, 75],
+        ),
+        "power-qutrit": (
+            [0.5849625007047125, 0.5849625007039112, 0.5849625006995005, 0.5015717885377137],
+            [75, 38, 32, 200],
+        ),
+        "minent-qutrit": (
+            [
+                2.5849625024829597, 2.668280638070717, 2.668280638992717,
+                2.668280638148403, 2.668280638077342, 2.668280638225803,
+                2.6682806381157715, 2.668280638105082, 2.6682806382970403,
+                2.6682806382383024, 2.6682806381388966, 2.668280638094185,
+                2.5849625025064755, 2.6682806589141124, 2.6682806384675386,
+                2.6682806382150335, 2.668280638080338, 2.5849625007212023,
+                2.6682806380754784, 2.584962502506911,
+            ],
+            [18, 26, 24, 22, 30, 25, 19, 36, 22, 21, 25, 23, 22, 112, 21, 22, 23, 23, 79, 19],
+        ),
+    }
+    CALLS = {
+        "power-tetrahedral": (informational_power_lower_bound, sic.tetrahedral_povm, 6, 9),
+        "power-qutrit": (informational_power_lower_bound, sic.qutrit_sic_povm, 4, 7),
+        "minent-qutrit": (min_output_entropy, sic.qutrit_sic_povm, 20, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_reproduces_serial_trajectories(self, name):
+        solver, povm, starts, seed = self.CALLS[name]
+        report = solver(povm(), starts=starts, seed=seed)
+        values, iterations = self.SERIAL[name]
+        np.testing.assert_allclose(report.values_per_start, values, rtol=0, atol=1e-9)
+        assert report.iterations_per_start == iterations
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rows_are_independent(self, name):
+        solver, povm, starts, seed = self.CALLS[name]
+        many = solver(povm(), starts=starts, seed=seed)
+        one = solver(povm(), starts=1, seed=seed)
+        assert one.values_per_start[0] == many.values_per_start[0]
+        assert one.iterations_per_start[0] == many.iterations_per_start[0]
+
+    @pytest.mark.parametrize("solver", [informational_power_lower_bound, min_output_entropy])
+    def test_rejects_bad_run_parameters(self, solver):
+        p = sic.tetrahedral_povm()
+        with pytest.raises(InvalidInput):
+            solver(p, starts=0, seed=1)
+        with pytest.raises(InvalidInput):
+            solver(p, starts=2, seed=-1)
 
 
 class TestScroogeEstimate:
@@ -211,6 +280,21 @@ class TestScroogeEstimate:
     def test_rejects_too_few_samples(self):
         with pytest.raises(InvalidDimension):
             scrooge_lower_bound_estimate(3, 8)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidInput):
+            scrooge_lower_bound_estimate(2, 100, seed=-1)
+
+    def test_chunks_match_one_pass_over_the_same_stream(self):
+        # two full chunks and a partial one, reduced in one pass for reference
+        d, chunk = 4, optimize._SAMPLE_CHUNK
+        sampler = HaarSampler(d, seed=5)
+        psis = np.concatenate([sampler.states(n) for n in (chunk, chunk, 123)])
+        q = np.abs(psis) ** 2
+        per_state = -np.sum(q * np.log2(q), axis=1)
+        expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
+        est = scrooge_lower_bound_estimate(d, len(psis), seed=5)
+        assert est == pytest.approx(expected, abs=1e-12)
 
     def test_determinism(self):
         assert scrooge_lower_bound_estimate(2, 1000, 3) == scrooge_lower_bound_estimate(
