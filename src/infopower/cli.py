@@ -207,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (p_bounds, p_verify, p_mi, p_power, p_minent, p_scrooge):
         sp.add_argument("--out", default=None, help="write output to a file")
+    # power, minent and scrooge always print a JSON report
+    for sp in (p_bounds, p_verify, p_mi):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     return parser

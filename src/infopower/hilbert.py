@@ -31,7 +31,7 @@ def check_hermitian(matrix) -> np.ndarray:
     """Return the matrix as an array, raising InvalidOperator if not Hermitian."""
     a = as_operator(matrix)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:
         raise InvalidOperator(f"matrix deviates from Hermitian by {dev:.3e}")
     return a
 
@@ -42,7 +42,7 @@ def check_state_vector(amplitudes) -> np.ndarray:
     if v.ndim != 1 or v.size == 0:
         raise InvalidState(f"expected a nonempty vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise InvalidState(f"vector norm {norm} is not 1 within {NORM_TOL}")
     return v
 
@@ -80,7 +80,7 @@ def eigh(op) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectral_map(op, fn, psd_check=True) -> np.ndarray:
     vals, vecs = eigh(op)
-    if psd_check and vals.size and vals[-1] < -PSD_TOL:
+    if psd_check and vals.size and not vals[-1] >= -PSD_TOL:
         raise NotPositive(f"eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
     mapped = np.array([fn(max(v, 0.0)) for v in vals])
     return (vecs * mapped) @ vecs.conj().T

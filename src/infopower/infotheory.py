@@ -32,11 +32,11 @@ class JointDistribution:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidDistribution(f"expected a matrix, got shape {probs.shape}")
-        if np.min(probs) < -PSD_TOL:
+        if not np.min(probs) >= -PSD_TOL:
             raise InvalidDistribution(f"negative probability {np.min(probs):.3e}")
         probs = np.clip(probs, 0.0, None)
         total = probs.sum()
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidDistribution(f"probabilities sum to {total}, not 1")
         self.probs = probs
 
@@ -64,9 +64,9 @@ def shannon_entropy(dist) -> float:
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1:
         raise InvalidDistribution(f"expected a vector, got shape {p.shape}")
-    if np.min(p) < -PSD_TOL:
+    if not np.min(p) >= -PSD_TOL:
         raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
-    if abs(p.sum() - 1.0) > SUM_TOL:
+    if not abs(p.sum() - 1.0) <= SUM_TOL:
         raise InvalidDistribution(f"probabilities sum to {p.sum()}, not 1")
     return _entropy_bits(p)
 

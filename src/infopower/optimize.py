@@ -23,6 +23,8 @@ GRAD_TOL = 1e-8
 MAX_ITER = 200
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
+_ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
+_ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
@@ -172,45 +174,72 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     return _project_tangent(psi, g)
 
 
+def _armijo(objective, psi, g, gnorm, value, aux):
+    """Armijo backtracking line search along -g from every row of psi (k, d).
+
+    The step of a row starts at 1 and is halved until the retracted trial
+    state lowers the value by at least _ARMIJO_C * step * gnorm^2, or the step
+    falls to _MIN_STEP; rows whose gnorm is below GRAD_TOL do not search.
+    Every searching row tries _ARMIJO_BATCH successive step lengths in one
+    call objective(states (t, d), rows (t,)) -> (values (t,), aux (t, ...)),
+    rows naming the row of psi each trial belongs to, and takes the first
+    that passes. The lengths are exact powers of two, so a row accepts the
+    same step, state and value as a search trying one length per call.
+    psi, value and aux are updated in place on the rows that move. Returns
+    the accepted step of every row, 0 where the search failed.
+    """
+    step = np.ones(len(psi))
+    accepted = np.zeros(len(psi))
+    slope = gnorm**2
+    search = np.flatnonzero(~(gnorm < GRAD_TOL))
+    while search.size:
+        s = step[search, None] * _ARMIJO_SCALES
+        trial = _normalize(psi[search, None] - s[..., None] * g[search, None])
+        trial = trial.reshape(-1, psi.shape[-1])
+        trial_value, trial_aux = objective(trial, np.repeat(search, _ARMIJO_BATCH))
+        ok = (s > _MIN_STEP) & (
+            trial_value.reshape(s.shape) <= value[search, None] - _ARMIJO_C * s * slope[search, None]
+        )
+        first = np.argmax(ok, axis=1)
+        hit = ok[np.arange(len(search)), first]
+        pick = np.flatnonzero(hit) * _ARMIJO_BATCH + first[hit]
+        row = search[hit]
+        accepted[row] = s.ravel()[pick]
+        psi[row], value[row], aux[row] = trial[pick], trial_value[pick], trial_aux[pick]
+        search = search[~hit]
+        step[search] *= _ARMIJO_SHRINK**_ARMIJO_BATCH
+        search = search[step[search] > _MIN_STEP]
+    return accepted
+
+
 def _riemannian_descent(objective, gradient, psi, trace=None):
     """Minimize objective over the unit sphere from every row of psi (R, d).
 
-    objective(states, rows) -> (k,) and gradient(states, rows) -> (k, d) are
-    evaluated on the states (k, d) of the rows listed in rows, so a row may
-    carry its own parameters. Each row runs its own Armijo line search and
-    stops on its own test. Returns (states, values, iterations, converged),
-    one entry per row. If trace is a list, the values of all rows are
-    appended to it initially and after every step; a stopped row repeats its
-    final value.
+    objective(states, rows) -> (values (k,), aux (k, ...)) and
+    gradient(states, rows, aux) -> (k, d) are evaluated on the states (k, d)
+    of the rows listed in rows, so a row may carry its own parameters; aux is
+    what the objective computed at those states (e.g. Born probabilities),
+    handed to the gradient so it need not compute it again. Each row runs
+    its own Armijo line search (_armijo) and stops on its own test. Returns
+    (states, values, iterations, converged), one entry per row. If trace is
+    a list, the values of all rows are appended to it initially and after
+    every step; a stopped row repeats its final value.
     """
     psi = np.array(psi, dtype=complex)
     live = np.arange(len(psi))
-    value = objective(psi, live)
+    value, aux = objective(psi, live)
     iterations = np.full(len(psi), MAX_ITER)
     converged = np.zeros(len(psi), dtype=bool)
     if trace is not None:
         trace.append(value.copy())
     for it in range(1, MAX_ITER + 1):
-        base, start_value = psi[live], value[live]
-        g = _project_tangent(base, gradient(base, live))
-        gnorm = _norm(g)
-        # backtracking line search, one step length per row
-        step = np.ones(len(live))
-        moved = np.zeros(len(live), dtype=bool)
+        base, start_value, base_aux = psi[live], value[live], aux[live]
+        g = _project_tangent(base, gradient(base, live, base_aux))
         new_value = start_value.copy()
-        search = np.flatnonzero(~(gnorm < GRAD_TOL))
-        while search.size:
-            s = step[search]
-            trial = _normalize(base[search] - s[:, None] * g[search])
-            trial_value = objective(trial, live[search])
-            ok = trial_value <= start_value[search] - _ARMIJO_C * s * gnorm[search] ** 2
-            hit = search[ok]
-            moved[hit] = True
-            base[hit], new_value[hit] = trial[ok], trial_value[ok]
-            search = search[~ok]
-            step[search] *= _ARMIJO_SHRINK
-            search = search[step[search] > _MIN_STEP]
-        psi[live], value[live] = base, new_value
+        moved = _armijo(
+            lambda states, i: objective(states, live[i]), base, g, _norm(g), new_value, base_aux
+        ) > 0
+        psi[live], value[live], aux[live] = base, new_value, base_aux
         if trace is not None:
             trace.append(value.copy())
         # a flat gradient or a failed line search ends a row before this step
@@ -234,10 +263,11 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     effects = p.stack()
 
     def objective(psi, rows):
-        return _entropy_rows(_born(effects, psi))
+        q = _born(effects, psi)
+        return _entropy_rows(q), q
 
-    def gradient(psi, rows):
-        return _effect_gradient(_entropy_coef(_born(effects, psi)), effects, psi)
+    def gradient(psi, rows, q):
+        return _effect_gradient(_entropy_coef(q), effects, psi)
 
     rngs = _start_rngs(seed, starts)
     psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in rngs])
@@ -415,10 +445,10 @@ def _best_divergent_state(effects, q_bar, rngs, dim, restarts=3):
         q = _born(effects, phi)
         mask = q > _LOG_FLOOR
         log_ratio = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar[rows])
-        return -np.sum(np.where(mask, q * log_ratio, 0.0), axis=-1)
+        return -np.sum(np.where(mask, q * log_ratio, 0.0), axis=-1), q
 
-    def gradient(phi, rows):
-        coef = np.log2(np.maximum(_born(effects, phi), _LOG_FLOOR) / q_bar[rows])
+    def gradient(phi, rows, q):
+        coef = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar[rows])
         return _effect_gradient(-(coef + 1.0 / np.log(2)), effects, phi)
 
     phi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
@@ -430,35 +460,29 @@ def _best_divergent_state(effects, q_bar, rngs, dim, restarts=3):
 
 
 def _ascend_state(effects, psis, cond, weights, x):
-    """One backtracking ascent step of the mutual information in state x of
-    every row of the stacked ensembles; updates psis and cond in place."""
+    """One Armijo ascent step of the mutual information in state x of every
+    row of the stacked ensembles; updates psis and cond in place. The step
+    descends the negated information, which accepts exactly the steps an
+    ascent test would."""
     wx = weights[:, x]
     rows = np.flatnonzero(~(wx < _LOG_FLOOR))
     w, c, psi = weights[rows], cond[rows], psis[rows, x]
-    value = _mutual_information_bits(w, c)
     q = _outcome_marginal(w, c)
-    coef = wx[rows, None] * np.log2(
+    coef = -wx[rows, None] * np.log2(
         np.maximum(c[:, x], _LOG_FLOOR) / np.maximum(q, _LOG_FLOOR)
     )
     g = _project_tangent(psi, _effect_gradient(coef, effects, psi))
-    gnorm = _norm(g)
-    step = np.ones(len(rows))
-    search = np.flatnonzero(~(gnorm < GRAD_TOL))
-    while search.size:
-        s = step[search]
-        cand = _normalize(psi[search] + s[:, None] * g[search])
-        new_cond = c[search]
-        new_cond[:, x] = _born(effects, cand)
-        ok = (
-            _mutual_information_bits(w[search], new_cond)
-            >= value[search] + _ARMIJO_C * s * gnorm[search] ** 2
-        )
-        hit = rows[search[ok]]
-        psis[hit, x] = cand[ok]
-        cond[hit, x] = new_cond[ok, x]
-        search = search[~ok]
-        step[search] *= _ARMIJO_SHRINK
-        search = search[step[search] > _MIN_STEP]
+
+    def objective(cand, i):
+        q_cand = _born(effects, cand)
+        trial = c[i]
+        trial[:, x] = q_cand
+        return -_mutual_information_bits(w[i], trial), q_cand
+
+    q_x = c[:, x].copy()
+    moved = _armijo(objective, psi, g, _norm(g), -_mutual_information_bits(w, c), q_x) > 0
+    psis[rows[moved], x] = psi[moved]
+    cond[rows[moved], x] = q_x[moved]
 
 
 def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
@@ -476,11 +500,15 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
         raise InvalidDimension(f"need at least d^2 = {d * d} samples")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
-    sampler = HaarSampler(d, seed)
+    # HaarSampler's stream, real then imaginary parts of each chunk; only
+    # the squared moduli are needed, so no complex state is built
+    rng = np.random.Generator(np.random.PCG64(seed))
     q_sum = np.zeros(d)
     entropy_sum = 0.0
     for done in range(0, samples, _SAMPLE_CHUNK):
-        q = np.abs(sampler.states(min(_SAMPLE_CHUNK, samples - done))) ** 2
+        shape = (min(_SAMPLE_CHUNK, samples - done), d)
+        q = rng.normal(size=shape) ** 2 + rng.normal(size=shape) ** 2
+        q /= q.sum(axis=1, keepdims=True)
         q_sum += q.sum(axis=0)
         entropy_sum += float(_entropy_rows(q).sum())
     value = _entropy_bits(q_sum / samples) - entropy_sum / samples

@@ -32,7 +32,7 @@ def _check_elements(elements, err):
         raise err("elements have mixed dimensions")
     for o in ops:
         evs = np.linalg.eigvalsh(o)
-        if evs.size and evs[0] < -PSD_TOL:
+        if evs.size and not evs[0] >= -PSD_TOL:
             raise err(f"element has negative eigenvalue {evs[0]:.3e}")
     return dim, ops
 
@@ -43,7 +43,7 @@ class Ensemble:
     def __init__(self, states):
         dim, ops = _check_elements(states, InvalidEnsemble)
         total = sum(np.trace(o).real for o in ops)
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidEnsemble(f"traces sum to {total}, not 1")
         self.dim = dim
         self.states = ops
@@ -74,7 +74,7 @@ class Povm:
         dim, ops = _check_elements(effects, InvalidPovm)
         total = sum(ops)
         dev = np.max(np.abs(total - np.eye(dim)))
-        if dev > SUM_TOL:
+        if not dev <= SUM_TOL:
             raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
         self.dim = dim
         self.effects = ops
@@ -94,9 +94,9 @@ def average_state(e: Ensemble) -> np.ndarray:
 def _check_density(rho) -> np.ndarray:
     rho = hilbert.check_hermitian(rho)
     evs = np.linalg.eigvalsh(rho)
-    if evs[0] < -PSD_TOL:
+    if not evs[0] >= -PSD_TOL:
         raise InvalidState(f"state has negative eigenvalue {evs[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > SUM_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= SUM_TOL:
         raise InvalidState("state trace is not 1")
     return rho
 

@@ -129,6 +129,19 @@ class TestMutinfo:
         code, _ = run(capsys, "mutinfo", "/nonexistent.json", "builtin:tetrahedral")
         assert code == 2
 
+    def test_nan_entry_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        states.save(sic.antitetrahedral_ensemble(), path)
+        data = json.loads(path.read_text())
+        data["elements"][0]["matrix"][0][0][0] = float("nan")
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        code = main(["mutinfo", str(path), "builtin:tetrahedral"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestOptimizerCommands:
     def test_power_tetrahedral(self, capsys):
@@ -194,6 +207,22 @@ class TestOptimizerCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scrooge", "--dim", "2", "--samples", "100"],
+            ["power", "--builtin", "tetrahedral", "--starts", "2"],
+            ["minent", "--builtin", "qutrit", "--starts", "2"],
+        ],
+    )
+    def test_format_is_not_accepted(self, capsys, argv):
+        # these commands always print a JSON report
+        code = main([*argv, "--format", "csv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--format" in err
         assert "Traceback" not in err
 
     def test_zero_starts_is_usage_error(self, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infopower import hilbert
-from infopower.errors import InvalidOperator, InvalidState, NotPositive
+from infopower.errors import InfopowerError, InvalidOperator, InvalidState, NotPositive
 from infopower.hilbert import (
     KERNEL_TOL,
     RECON_TOL,
@@ -156,6 +156,15 @@ class TestOuter:
         assert abs(np.trace(p).real - 1) < 1e-12
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(vals[:-1])) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    with pytest.raises(InvalidState):
+        hilbert.check_state_vector([bad, 1.0])
+    for fn in (hilbert.check_hermitian, eigh, op_sqrt, op_inv_sqrt):
+        with pytest.raises(InfopowerError):
+            fn(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_support_basis_spans_support():

@@ -47,6 +47,14 @@ class TestShannonEntropy:
             shannon_entropy([0.5, 0.4])
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidDistribution):
+            shannon_entropy([bad, 1.0])
+        with pytest.raises(InvalidDistribution):
+            JointDistribution([[bad, 0.5], [0.25, 0.25]])
+
+
 class TestJointDistribution:
     def test_corollary_pattern_qutrit(self):
         j = joint_distribution(sic.qutrit_orthonormal_ensemble(), sic.qutrit_sic_povm())

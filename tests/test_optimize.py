@@ -11,8 +11,15 @@ from infopower.infotheory import (
     sic_upper,
 )
 from infopower.optimize import (
+    _ARMIJO_BATCH,
+    _ARMIJO_C,
+    _ARMIJO_SHRINK,
+    _MIN_STEP,
     CONV_TOL,
+    GRAD_TOL,
     HaarSampler,
+    _armijo,
+    _normalize,
     _riemannian_descent,
     haar_state,
     informational_power_lower_bound,
@@ -181,10 +188,11 @@ class TestGradient:
             return np.clip(np.einsum("yij,ri,rj->ry", effects, psi.conj(), psi).real, 0, None)
 
         def objective(psi, rows):
-            return np.array([infotheory._entropy_bits(q) for q in born(psi)])
+            q = born(psi)
+            return np.array([infotheory._entropy_bits(qr) for qr in q]), q
 
-        def gradient(psi, rows):
-            coef = -(np.log2(np.maximum(born(psi), 1e-18)) + 1 / np.log(2))
+        def gradient(psi, rows, q):
+            coef = -(np.log2(np.maximum(q, 1e-18)) + 1 / np.log(2))
             return 2.0 * np.einsum("ry,yij,rj->ri", coef, effects, psi)
 
         rng = np.random.default_rng(15)
@@ -196,6 +204,102 @@ class TestGradient:
         _riemannian_descent(objective, gradient, np.array(starts), trace=trace)
         diffs = np.diff(np.array(trace), axis=0)
         assert np.all(diffs <= CONV_TOL)
+
+
+def _one_length_search(objective, psi, g, gnorm, value, ascend):
+    """Reference line search: one row and one step length per objective call,
+    as the descent (-g) and the ascent (+g) ran before the kernel batched them.
+    Returns the accepted step (0 on failure), state and value of every row."""
+    steps, states, values = np.zeros(len(psi)), psi.copy(), value.copy()
+    for r in range(len(psi)):
+        step = 1.0
+        while not gnorm[r] < GRAD_TOL and step > _MIN_STEP:
+            trial = _normalize(psi[r] + step * g[r] if ascend else psi[r] - step * g[r])
+            v = objective(trial[None], np.array([r]))[0][0]
+            bound = _ARMIJO_C * step * gnorm[r] ** 2
+            if (v >= value[r] + bound) if ascend else (v <= value[r] - bound):
+                steps[r], states[r], values[r] = step, trial, v
+                break
+            step *= _ARMIJO_SHRINK
+    return steps, states, values
+
+
+class TestArmijo:
+    """The batched line search accepts the step, state and value that a
+    search trying one step length per call accepts, bit for bit."""
+
+    # halvings before row r passes the Armijo test. None passes only after
+    # every step length above _MIN_STEP has been tried, so a correct search
+    # never moves it; the last row has a flat gradient.
+    HALVINGS = [0, 3, 4, 5, 9, None, 0]
+    # step lengths 1, 1/2, 1/4, ... above _MIN_STEP
+    LENGTHS = int(np.sum(_ARMIJO_SHRINK ** np.arange(64) > _MIN_STEP))
+
+    def setup_rows(self, ascend):
+        # row r starts at U_r e0 and moves along gn_r U_r e1, so a trial at
+        # step s is U_r (e0 -+ s gn_r e1) / norm and s can be read back from it
+        rng = np.random.default_rng(21)
+        frames = np.array([
+            np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            for _ in self.HALVINGS
+        ])
+        psi = frames[:, :, 0].copy()
+        gnorm = rng.uniform(0.5, 2.0, size=len(frames))
+        gnorm[-1] = 0.0
+        g = gnorm[:, None] * frames[:, :, 1]
+        value = rng.normal(size=len(frames))
+        tried = np.zeros(len(frames), dtype=int)
+        sign = 1.0 if ascend else -1.0
+
+        def objective(states, rows):
+            c = np.einsum("rji,rj->ri", frames[rows].conj(), states)
+            steps = sign * c[:, 1].real / (c[:, 0].real * gnorm[rows])
+            passes = []
+            for r, step in zip(rows, steps):
+                tried[r] += 1
+                n = self.HALVINGS[r]
+                passes.append(tried[r] > self.LENGTHS if n is None else step < 1.5 * 2.0**-n)
+            return value[rows] + sign * np.where(passes, 1.0, -1.0), steps
+
+        return objective, psi, g, gnorm, value, tried
+
+    @pytest.mark.parametrize("ascend", [False, True])
+    def test_matches_one_length_per_call(self, ascend):
+        objective, psi, g, gnorm, value, tried = self.setup_rows(ascend)
+        ref_steps, ref_states, ref_values = _one_length_search(
+            objective, psi, g, gnorm, value, ascend
+        )
+        ref_tried = tried.copy()
+        assert ref_steps.tolist() == [0.0 if n is None else 2.0**-n for n in self.HALVINGS[:-1]] + [0.0]
+
+        tried[:] = 0
+        states, aux = psi.copy(), np.full(len(psi), np.nan)
+        if ascend:
+            # the ascent descends the negated objective along the negated gradient
+            def negated(st, rows):
+                v, steps = objective(st, rows)
+                return -v, steps
+
+            values = -value
+            steps = _armijo(negated, states, -g, gnorm, values, aux)
+            values = -values
+        else:
+            values = value.copy()
+            steps = _armijo(objective, states, g, gnorm, values, aux)
+
+        assert np.array_equal(steps, ref_steps)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(values, ref_values)
+        # aux is what the objective returned for the accepted trial
+        moved = steps > 0
+        np.testing.assert_allclose(aux[moved], steps[moved], rtol=1e-12)
+        assert np.isnan(aux[~moved]).all()
+        # the failing row ends after the last length above _MIN_STEP, which
+        # the kernel reaches in whole batches; the flat row is never evaluated
+        never = self.HALVINGS.index(None)
+        assert ref_tried[never] == self.LENGTHS
+        assert tried[never] == -(-self.LENGTHS // _ARMIJO_BATCH) * _ARMIJO_BATCH
+        assert ref_tried[-1] == tried[-1] == 0
 
 
 class TestBatchedStarts:

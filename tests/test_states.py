@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from infopower import sic, states
-from infopower.errors import InvalidEnsemble, InvalidInput, InvalidPovm, NotSic
+from infopower.errors import (
+    InfopowerError,
+    InvalidEnsemble,
+    InvalidInput,
+    InvalidPovm,
+    NotSic,
+)
 from infopower.hilbert import RECON_TOL
 from infopower.states import (
     SUM_TOL,
@@ -37,6 +43,15 @@ class TestValidation:
     def test_povm_rejects_negative_effect(self):
         with pytest.raises(InvalidPovm):
             Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_elements_are_rejected(self, bad):
+        with pytest.raises(InfopowerError):
+            Ensemble([np.diag([bad, 0.0]), np.eye(2) / 2])
+        with pytest.raises(InfopowerError):
+            Povm([np.diag([1.0, bad]), np.diag([0.0, 1.0])])
+        with pytest.raises(InfopowerError):
+            pretty_good_ensemble(sic.tetrahedral_povm(), np.diag([bad, 0.5]))
 
     def test_zero_trace_elements_are_carried(self):
         e = Ensemble([np.eye(2) / 2, np.zeros((2, 2))])
