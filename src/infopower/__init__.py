@@ -19,7 +19,6 @@ from .infotheory import (
 from .optimize import (
     HaarSampler,
     OptimizationReport,
-    haar_state,
     informational_power_lower_bound,
     min_output_entropy,
     scrooge_lower_bound_estimate,
@@ -31,6 +30,8 @@ from .sic import (
     is_sic,
     qutrit_orthonormal_ensemble,
     qutrit_sic_povm,
+    sic_ensemble_from_povm,
+    sic_povm_from_ensemble,
     tetrahedral_povm,
     wh_covariant_povm,
 )
@@ -41,8 +42,6 @@ from .states import (
     pretty_good_ensemble,
     pretty_good_povm,
     restrict_to_support,
-    sic_ensemble_from_povm,
-    sic_povm_from_ensemble,
 )
 
 __version__ = "0.1.0"

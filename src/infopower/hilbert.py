@@ -19,12 +19,19 @@ KERNEL_TOL = 1e-12
 _PHASE_TOL = 1e-12
 
 
+def _check_finite(a: np.ndarray, err) -> np.ndarray:
+    """Return a, raising err naming the first entry that is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise err(f"non-finite entry {a[~np.isfinite(a)][0]}")
+    return a
+
+
 def as_operator(matrix) -> np.ndarray:
-    """Coerce to a square complex array, raising InvalidOperator otherwise."""
+    """Coerce to a finite square complex array, raising InvalidOperator otherwise."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidOperator(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _check_finite(a, InvalidOperator)
 
 
 def check_hermitian(matrix) -> np.ndarray:
@@ -41,6 +48,7 @@ def check_state_vector(amplitudes) -> np.ndarray:
     v = np.asarray(amplitudes, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise InvalidState(f"expected a nonempty vector, got shape {v.shape}")
+    _check_finite(v, InvalidState)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise InvalidState(f"vector norm {norm} is not 1 within {NORM_TOL}")
@@ -112,7 +120,3 @@ def outer(v) -> np.ndarray:
     """Rank-one projector |v><v| of a normalized vector."""
     v = check_state_vector(v)
     return np.outer(v, v.conj())
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)

@@ -1,8 +1,11 @@
-"""Shannon entropies, Born-rule joint distributions, mutual information,
+"""Born-rule and entropy kernels, joint distributions, mutual information,
 and evaluators for every closed-form dimensional bound.
 
+_born (outcome probabilities of stacked pure states) and _entropy_bits
+(Shannon entropy of every row of a stack of distributions) are the one
+definition of each quantity in the package; the optimizers import them.
 All informational quantities are in bits. The 0*log(0) = 0 convention is
-applied everywhere; probabilities below 1e-15 are treated as exact zeros.
+applied everywhere; probabilities at or below 1e-15 are treated as exact zeros.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import DimMismatch, InvalidDimension, InvalidDistribution
-from .hilbert import PSD_TOL
+from .hilbert import PSD_TOL, _check_finite
 from .states import SUM_TOL, Ensemble, Povm
 
 _ZERO_PROB = 1e-15
@@ -19,10 +22,19 @@ _ZERO_PROB = 1e-15
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float).ravel()
-    p = p[p > _ZERO_PROB]
-    return float(-np.sum(p * np.log2(p)))
+# Kernels on stacked arrays: each maps the trailing axis and broadcasts over
+# the leading ones, so a call serves one state or distribution, or a stack.
+
+
+def _born(effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Outcome probabilities <psi|E_y|psi>: states (..., d) -> (..., n)."""
+    return np.maximum(np.einsum("yij,...i,...j->...y", effects, psis.conj(), psis).real, 0.0)
+
+
+def _entropy_bits(q: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of every row of q (..., n); entries at or below
+    _ZERO_PROB count as zeros."""
+    return -np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, 1.0)), axis=-1)
 
 
 class JointDistribution:
@@ -32,6 +44,7 @@ class JointDistribution:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidDistribution(f"expected a matrix, got shape {probs.shape}")
+        _check_finite(probs, InvalidDistribution)
         if not np.min(probs) >= -PSD_TOL:
             raise InvalidDistribution(f"negative probability {np.min(probs):.3e}")
         probs = np.clip(probs, 0.0, None)
@@ -47,13 +60,13 @@ class JointDistribution:
         return self.probs.sum(axis=0)
 
     def entropy_x(self) -> float:
-        return _entropy_bits(self.marginal_x())
+        return float(_entropy_bits(self.marginal_x()))
 
     def entropy_y(self) -> float:
-        return _entropy_bits(self.marginal_y())
+        return float(_entropy_bits(self.marginal_y()))
 
     def entropy_joint(self) -> float:
-        return _entropy_bits(self.probs)
+        return float(_entropy_bits(self.probs.ravel()))
 
     def entropy_y_given_x(self) -> float:
         return self.entropy_joint() - self.entropy_x()
@@ -64,11 +77,12 @@ def shannon_entropy(dist) -> float:
     p = np.asarray(dist, dtype=float)
     if p.ndim != 1:
         raise InvalidDistribution(f"expected a vector, got shape {p.shape}")
+    _check_finite(p, InvalidDistribution)
     if not np.min(p) >= -PSD_TOL:
         raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
     if not abs(p.sum() - 1.0) <= SUM_TOL:
         raise InvalidDistribution(f"probabilities sum to {p.sum()}, not 1")
-    return _entropy_bits(p)
+    return float(_entropy_bits(p))
 
 
 def joint_distribution(e: Ensemble, p: Povm) -> JointDistribution:
@@ -90,13 +104,12 @@ def outcome_distribution(p: Povm, psi) -> np.ndarray:
     psi = hilbert.check_state_vector(psi)
     if len(psi) != p.dim:
         raise DimMismatch(f"state dim {len(psi)} != POVM dim {p.dim}")
-    q = np.einsum("yij,i,j->y", p.stack(), psi.conj(), psi).real
-    return np.clip(q, 0.0, None)
+    return _born(p.stack(), psi)
 
 
 def conditional_output_entropy(p: Povm, psi) -> float:
     """Entropy in bits of the measurement outcome on a pure input state."""
-    return _entropy_bits(outcome_distribution(p, psi))
+    return float(_entropy_bits(outcome_distribution(p, psi)))
 
 
 def index_of_coincidence(p: Povm, rho) -> float:
@@ -192,14 +205,7 @@ class BoundSet:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "holevo": self.holevo,
-            "scrooge_lower": self.scrooge_lower,
-            "sic_upper": self.sic_upper,
-            "rastegin_cond": self.rastegin_cond,
-            "pg_sic_value": self.pg_sic_value,
-        }
+        return dict(vars(self))
 
 
 def bounds_for_dimension(d: int) -> BoundSet:

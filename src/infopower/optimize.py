@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidDimension, InvalidInput, InvalidPovm
-from .infotheory import _ZERO_PROB, _entropy_bits
+from .infotheory import _born, _entropy_bits
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -44,20 +44,11 @@ class HaarSampler:
 
     def state(self) -> np.ndarray:
         """One normalized vector of independent standard complex Gaussians."""
-        z = self._rng.normal(size=self.dim) + 1j * self._rng.normal(size=self.dim)
-        return z / np.linalg.norm(z)
+        return self.states(1)[0]
 
     def states(self, n: int) -> np.ndarray:
         """n x dim array of independent Haar samples."""
-        z = self._rng.normal(size=(n, self.dim)) + 1j * self._rng.normal(
-            size=(n, self.dim)
-        )
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def haar_state(sampler: HaarSampler) -> np.ndarray:
-    """Draw the next Haar-uniform pure state from the sampler's stream."""
-    return sampler.state()
+        return _haar_from_rng(self._rng, self.dim, n)
 
 
 @dataclass
@@ -76,21 +67,12 @@ class OptimizationReport:
     any_zero_weight: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "best_value": self.best_value,
-            "best_states": [
-                {"weight": w, "amplitudes": [[z.real, z.imag] for z in v]}
-                for w, v in self.best_states
-            ],
-            "starts": self.starts,
-            "converged_starts": self.converged_starts,
-            "iterations_per_start": self.iterations_per_start,
-            "values_per_start": self.values_per_start,
-            "seed": self.seed,
-            "tolerance_used": self.tolerance_used,
-            "rng_algorithm": self.rng_algorithm,
-            "any_zero_weight": self.any_zero_weight,
-        }
+        out = dict(vars(self))
+        out["best_states"] = [
+            {"weight": w, "amplitudes": [[z.real, z.imag] for z in v]}
+            for w, v in self.best_states
+        ]
+        return out
 
 
 def _start_rngs(seed: int, starts: int):
@@ -108,17 +90,13 @@ def _check_run(starts: int, seed: int) -> None:
 
 
 def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
+    """n x dim Haar states: real then imaginary Gaussian parts, row-normalized."""
     z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # Kernels on stacked pure states: every function maps the trailing axis and
 # broadcasts over the leading ones, so a call serves one state or all starts.
-
-
-def _born(effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <psi|E_y|psi>: states (..., d) -> (..., n)."""
-    return np.maximum(np.einsum("yij,...i,...j->...y", effects, psis.conj(), psis).real, 0.0)
 
 
 def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -129,12 +107,6 @@ def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) ->
 def _entropy_coef(q: np.ndarray) -> np.ndarray:
     """Derivative of the outcome entropy in bits with respect to each q_y."""
     return -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
-
-
-def _entropy_rows(q: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of every row of q (..., n)."""
-    keep = q > _ZERO_PROB
-    return -np.sum(np.where(keep, q * np.log2(np.where(keep, q, 1.0)), 0.0), axis=-1)
 
 
 # Row products go through matmul, which runs the same BLAS dot and gemv
@@ -264,7 +236,7 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
 
     def objective(psi, rows):
         q = _born(effects, psi)
-        return _entropy_rows(q), q
+        return _entropy_bits(q), q
 
     def gradient(psi, rows, q):
         return _effect_gradient(_entropy_coef(q), effects, psi)
@@ -510,8 +482,8 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
         q = rng.normal(size=shape) ** 2 + rng.normal(size=shape) ** 2
         q /= q.sum(axis=1, keepdims=True)
         q_sum += q.sum(axis=0)
-        entropy_sum += float(_entropy_rows(q).sum())
-    value = _entropy_bits(q_sum / samples) - entropy_sum / samples
+        entropy_sum += float(_entropy_bits(q).sum())
+    value = float(_entropy_bits(q_sum / samples)) - entropy_sum / samples
     return max(value, 0.0)
 
 

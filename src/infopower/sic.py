@@ -1,14 +1,14 @@
 """Explicit SIC objects for qubits and qutrits, Weyl-Heisenberg covariant
-POVM generation from a fiducial vector, and certification of the SIC
-defining conditions (d^2 rank-one elements, equal traces, equal pairwise
-overlaps lambda^2/(d+1))."""
+POVM generation from a fiducial vector, certification of the SIC defining
+conditions (d^2 rank-one elements, equal traces, equal pairwise overlaps
+lambda^2/(d+1)), and the renormalizations between SIC POVMs and ensembles."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidInput
+from .errors import InvalidInput, NotSic
 from .states import Ensemble, Povm
 
 SIC_TOL = 1e-9
@@ -116,16 +116,7 @@ class SicCertificate:
     passes: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "element_count": self.element_count,
-            "lambda": self.lam,
-            "max_trace_deviation": self.max_trace_deviation,
-            "max_pairwise_deviation": self.max_pairwise_deviation,
-            "max_rank_deviation": self.max_rank_deviation,
-            "average_deviation": self.average_deviation,
-            "passes": self.passes,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in vars(self).items()}
 
 
 def is_sic(elements) -> SicCertificate:
@@ -176,3 +167,17 @@ def is_sic(elements) -> SicCertificate:
         average_deviation=avg_dev,
         passes=passes,
     )
+
+
+def sic_ensemble_from_povm(p: Povm) -> Ensemble:
+    """Renormalize a SIC POVM into the corresponding SIC ensemble (scale 1/d)."""
+    if not is_sic(p.effects).passes:
+        raise NotSic("input POVM does not pass the SIC certificate")
+    return Ensemble([eff / p.dim for eff in p.effects])
+
+
+def sic_povm_from_ensemble(e: Ensemble) -> Povm:
+    """Renormalize a SIC ensemble into the corresponding SIC POVM (scale d)."""
+    if not is_sic(e.states).passes:
+        raise NotSic("input ensemble does not pass the SIC certificate")
+    return Povm([s * e.dim for s in e.states])

@@ -1,8 +1,10 @@
-"""Ensembles and POVMs: validation, averages, and the pretty-good duality maps.
+"""Ensembles and POVMs: validation, averages, the pretty-good duality maps,
+and the JSON file schema shared with the CLI.
 
 An ensemble stores sub-normalized states (each trace is the preparation
 probability), so the pretty-good maps are single sandwich products.
 Zero-trace elements are permitted; they contribute nothing to any entropy.
+Nothing here knows about SIC sets: their renormalizations live in sic.
 """
 
 import json
@@ -10,14 +12,7 @@ import json
 import numpy as np
 
 from . import hilbert
-from .errors import (
-    DimMismatch,
-    InvalidEnsemble,
-    InvalidInput,
-    InvalidPovm,
-    InvalidState,
-    NotSic,
-)
+from .errors import DimMismatch, InvalidEnsemble, InvalidInput, InvalidPovm, InvalidState
 from .hilbert import KERNEL_TOL, PSD_TOL
 
 SUM_TOL = 1e-9
@@ -54,14 +49,6 @@ class Ensemble:
     def probabilities(self) -> np.ndarray:
         """Preparation probabilities Tr[rho_x]."""
         return np.array([np.trace(s).real for s in self.states])
-
-    def normalized_states(self):
-        """(probability, unit-trace state) pairs; zero-weight states pass through."""
-        out = []
-        for s in self.states:
-            p = np.trace(s).real
-            out.append((p, s / p if p > KERNEL_TOL else s))
-        return out
 
     def stack(self) -> np.ndarray:
         return np.stack(self.states)
@@ -141,24 +128,6 @@ def pretty_good_ensemble(p: Povm, rho) -> Ensemble:
     return Ensemble([sq @ eff @ sq for eff in p.effects])
 
 
-def sic_ensemble_from_povm(p: Povm) -> Ensemble:
-    """Renormalize a SIC POVM into the corresponding SIC ensemble (scale 1/d)."""
-    from .sic import is_sic
-
-    if not is_sic(p.effects).passes:
-        raise NotSic("input POVM does not pass the SIC certificate")
-    return Ensemble([eff / p.dim for eff in p.effects])
-
-
-def sic_povm_from_ensemble(e: Ensemble) -> Povm:
-    """Renormalize a SIC ensemble into the corresponding SIC POVM (scale d)."""
-    from .sic import is_sic
-
-    if not is_sic(e.states).passes:
-        raise NotSic("input ensemble does not pass the SIC certificate")
-    return Povm([s * e.dim for s in e.states])
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (shared with the CLI)
 
@@ -186,17 +155,19 @@ def to_json_dict(obj) -> dict:
 
 
 def from_json_dict(data: dict):
-    """Parse the shared JSON schema into an Ensemble or Povm."""
+    """Parse the shared JSON schema into an Ensemble or Povm; the declared dim
+    must be the int dimension of the elements."""
     try:
-        kind = data["kind"]
+        kind, dim = data["kind"], data["dim"]
         elements = [_matrix_from_json(el["matrix"]) for el in data["elements"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed serialized object: {exc}") from exc
-    if kind == "ensemble":
-        return Ensemble(elements)
-    if kind == "povm":
-        return Povm(elements)
-    raise InvalidInput(f"unknown kind {kind!r}")
+    if kind not in ("ensemble", "povm"):
+        raise InvalidInput(f"unknown kind {kind!r}")
+    obj = Ensemble(elements) if kind == "ensemble" else Povm(elements)
+    if type(dim) is not int or dim != obj.dim:
+        raise InvalidInput(f"declared dim {dim!r} != element dimension {obj.dim}")
+    return obj
 
 
 def load(path):

@@ -164,7 +164,7 @@ def test_criterion_6e_average_operator_identity():
 
     sets = [
         (sic.tetrahedral_povm().effects, 2),
-        (states.sic_ensemble_from_povm(sic.tetrahedral_povm()).states, 2),
+        (sic.sic_ensemble_from_povm(sic.tetrahedral_povm()).states, 2),
         (sic.antitetrahedral_ensemble().states, 2),
         (sic.qutrit_sic_povm().effects, 3),
         (sic.wh_covariant_povm(qubit_wh_fiducial()).effects, 2),

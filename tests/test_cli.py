@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infopower import sic, states
 from infopower.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -100,7 +106,7 @@ class TestMutinfo:
         assert "I=0.415037" in out
 
     def test_pg_pair_from_files(self, capsys, tmp_path):
-        e = states.sic_ensemble_from_povm(sic.tetrahedral_povm())
+        e = sic.sic_ensemble_from_povm(sic.tetrahedral_povm())
         p = states.pretty_good_povm(e)
         epath, ppath = tmp_path / "e.json", tmp_path / "p.json"
         states.save(e, epath)
@@ -141,6 +147,33 @@ class TestMutinfo:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_infinite_entry_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "inf.json"
+        states.save(sic.antitetrahedral_ensemble(), path)
+        data = json.loads(path.read_text())
+        data["elements"][0]["matrix"][0][0][0] = float("inf")
+        path.write_text(json.dumps(data))
+        # a child process, so stderr holds whatever numpy would warn
+        done = subprocess.run(
+            [sys.executable, "-m", "infopower.cli", "mutinfo", str(path), "builtin:tetrahedral"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error:") and "non-finite" in done.stderr
+
+    def test_declared_dim_unlike_elements_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "povm.json"
+        data = states.to_json_dict(sic.tetrahedral_povm())
+        data["dim"] = 7
+        path.write_text(json.dumps(data))
+        for argv in (["mutinfo", "builtin:antitetrahedral", str(path)], ["power", "--povm", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
 
 class TestOptimizerCommands:

@@ -160,10 +160,10 @@ class TestOuter:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_rejected(bad):
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidState, match="non-finite"):
         hilbert.check_state_vector([bad, 1.0])
     for fn in (hilbert.check_hermitian, eigh, op_sqrt, op_inv_sqrt):
-        with pytest.raises(InfopowerError):
+        with pytest.raises(InfopowerError, match="non-finite"):
             fn(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 

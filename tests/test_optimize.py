@@ -21,7 +21,6 @@ from infopower.optimize import (
     _armijo,
     _normalize,
     _riemannian_descent,
-    haar_state,
     informational_power_lower_bound,
     min_output_entropy,
     output_entropy_gradient,
@@ -35,8 +34,15 @@ class TestHaarSampler:
     def test_determinism(self):
         a = HaarSampler(3, seed=42)
         b = HaarSampler(3, seed=42)
-        np.testing.assert_array_equal(haar_state(a), haar_state(b))
+        np.testing.assert_array_equal(a.state(), b.state())
         np.testing.assert_array_equal(a.states(10), b.states(10))
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2024])
+    def test_state_is_one_row_of_states(self, dim, seed):
+        np.testing.assert_array_equal(
+            HaarSampler(dim, seed).state(), HaarSampler(dim, seed).states(1)[0]
+        )
 
     def test_different_seeds_differ(self):
         assert not np.allclose(HaarSampler(2, 1).state(), HaarSampler(2, 2).state())

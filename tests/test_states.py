@@ -12,6 +12,7 @@ from infopower.errors import (
     NotSic,
 )
 from infopower.hilbert import RECON_TOL
+from infopower.sic import sic_ensemble_from_povm, sic_povm_from_ensemble
 from infopower.states import (
     SUM_TOL,
     Ensemble,
@@ -20,8 +21,6 @@ from infopower.states import (
     pretty_good_ensemble,
     pretty_good_povm,
     restrict_to_support,
-    sic_ensemble_from_povm,
-    sic_povm_from_ensemble,
 )
 
 from conftest import random_ensemble, random_povm, random_pure_states
@@ -46,11 +45,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_elements_are_rejected(self, bad):
-        with pytest.raises(InfopowerError):
+        with pytest.raises(InfopowerError, match="non-finite"):
             Ensemble([np.diag([bad, 0.0]), np.eye(2) / 2])
-        with pytest.raises(InfopowerError):
+        with pytest.raises(InfopowerError, match="non-finite"):
             Povm([np.diag([1.0, bad]), np.diag([0.0, 1.0])])
-        with pytest.raises(InfopowerError):
+        with pytest.raises(InfopowerError, match="non-finite"):
             pretty_good_ensemble(sic.tetrahedral_povm(), np.diag([bad, 0.5]))
 
     def test_zero_trace_elements_are_carried(self):
@@ -234,6 +233,13 @@ class TestSerialization:
         assert isinstance(loaded, Ensemble)
         for a, b in zip(e.states, loaded.states):
             np.testing.assert_allclose(a, b, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [7, 1, "2", 2.0, None])
+    def test_rejects_declared_dim_unlike_elements(self, dim):
+        data = states.to_json_dict(sic.tetrahedral_povm())
+        data["dim"] = dim
+        with pytest.raises(InvalidInput, match="dim"):
+            states.from_json_dict(data)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidInput):
