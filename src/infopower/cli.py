@@ -128,9 +128,7 @@ def cmd_mutinfo(args) -> int:
 
 def cmd_power(args) -> int:
     povm = _load_povm(args)
-    report = optimize.informational_power_lower_bound(
-        povm, starts=args.starts, seed=args.seed, max_support=args.max_support
-    )
+    report = optimize.informational_power_lower_bound(povm, starts=args.starts, seed=args.seed)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_povm_source(p_power)
     p_power.add_argument("--starts", type=int, default=100)
     p_power.add_argument("--seed", type=int, default=0)
-    p_power.add_argument("--max-support", type=int, default=None)
     p_power.set_defaults(func=cmd_power)
 
     p_minent = sub.add_parser("minent", help="minimal outcome entropy over pure states")

@@ -1,12 +1,13 @@
 """Haar sampling and multi-start optimization over pure states.
 
-The state searches run Riemannian steepest descent on the unit sphere:
-Euclidean gradient projected onto the tangent space, normalization
-retraction, backtracking (Armijo) line search. The informational-power
-search alternates that with a multiplicative prior reweighting, see-saw
-style. A multi-start search runs all of its starts at once as one stack
-of states. Every routine is deterministic for a fixed seed; each start owns
-a private PRNG stream derived from (seed, start index).
+The state searches take one kind of step (_sphere_step) on a unit sphere or
+a product of them: Euclidean gradient projected onto the tangent spaces,
+normalization retraction, backtracking (Armijo) line search. The
+informational-power search alternates a multiplicative prior reweighting
+with one such step on all states of each ensemble, see-saw style. A
+multi-start search runs all of its starts at once as one stack of states.
+Every routine is deterministic for a fixed seed; each start owns a private
+PRNG stream derived from (seed, start index).
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidDimension, InvalidInput, InvalidPovm
+from .errors import InvalidDimension, InvalidInput
 from .infotheory import _born, _entropy_bits
 from .states import Povm
 
@@ -25,6 +26,9 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
+_REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
+_DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
+_AUGMENT_CAP = 20  # most violating states injected into one start
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
@@ -109,6 +113,13 @@ def _entropy_coef(q: np.ndarray) -> np.ndarray:
     return -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
 
 
+def _information_coef(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Derivative w_x log2(p(y|x) / q(y)) of I(X;Y) in bits with respect to
+    each p(y|x): (..., m), (..., m, n) -> (..., m, n)."""
+    q = np.maximum(_outcome_marginal(weights, cond), _LOG_FLOOR)
+    return weights[..., None] * np.log2(np.maximum(cond, _LOG_FLOOR) / q[..., None, :])
+
+
 # Row products go through matmul, which runs the same BLAS dot and gemv
 # kernels per row as np.vdot, np.linalg.norm and `@` run on a single state,
 # so a start in the stack rounds exactly as a start searched on its own
@@ -147,27 +158,30 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
 
 
 def _armijo(objective, psi, g, gnorm, value, aux):
-    """Armijo backtracking line search along -g from every row of psi (k, d).
+    """Armijo backtracking line search along -g from every block of psi (k, ..., d).
 
-    The step of a row starts at 1 and is halved until the retracted trial
-    state lowers the value by at least _ARMIJO_C * step * gnorm^2, or the step
-    falls to _MIN_STEP; rows whose gnorm is below GRAD_TOL do not search.
-    Every searching row tries _ARMIJO_BATCH successive step lengths in one
-    call objective(states (t, d), rows (t,)) -> (values (t,), aux (t, ...)),
-    rows naming the row of psi each trial belongs to, and takes the first
-    that passes. The lengths are exact powers of two, so a row accepts the
-    same step, state and value as a search trying one length per call.
-    psi, value and aux are updated in place on the rows that move. Returns
-    the accepted step of every row, 0 where the search failed.
+    A block is one state or several (..., d) moved together, each state
+    retracted to its sphere. The step of a block starts at 1 and is halved
+    until the trial lowers the value by at least _ARMIJO_C * step * gnorm^2,
+    or the step falls to _MIN_STEP; blocks whose gnorm is below GRAD_TOL do
+    not search. Every searching block tries _ARMIJO_BATCH successive step
+    lengths in one call objective(states (t, ..., d), rows (t,)) ->
+    (values (t,), aux (t, ...)), rows naming the block of psi each trial
+    belongs to, and takes the first that passes. The lengths are exact powers
+    of two, so a block accepts the same step, state and value as a search
+    trying one length per call. psi, value and aux are updated in place on
+    the blocks that move. Returns the accepted step of every block, 0 where
+    the search failed.
     """
     step = np.ones(len(psi))
     accepted = np.zeros(len(psi))
     slope = gnorm**2
     search = np.flatnonzero(~(gnorm < GRAD_TOL))
+    block = (1,) * (psi.ndim - 1)
     while search.size:
         s = step[search, None] * _ARMIJO_SCALES
-        trial = _normalize(psi[search, None] - s[..., None] * g[search, None])
-        trial = trial.reshape(-1, psi.shape[-1])
+        trial = _normalize(psi[search, None] - s.reshape(s.shape + block) * g[search, None])
+        trial = trial.reshape((-1,) + psi.shape[1:])
         trial_value, trial_aux = objective(trial, np.repeat(search, _ARMIJO_BATCH))
         ok = (s > _MIN_STEP) & (
             trial_value.reshape(s.shape) <= value[search, None] - _ARMIJO_C * s * slope[search, None]
@@ -184,6 +198,14 @@ def _armijo(objective, psi, g, gnorm, value, aux):
     return accepted
 
 
+def _sphere_step(objective, psi, grad, value, aux):
+    """One steepest-descent step from every block of psi (k, ..., d) along the
+    Euclidean gradient grad projected onto the tangent spaces: _armijo with
+    the block's gradient norm. Returns the accepted steps (0: no move)."""
+    g = _project_tangent(psi, grad)
+    return _armijo(objective, psi, g, _norm(g.reshape(len(g), -1)), value, aux)
+
+
 def _riemannian_descent(objective, gradient, psi, trace=None):
     """Minimize objective over the unit sphere from every row of psi (R, d).
 
@@ -191,8 +213,8 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
     gradient(states, rows, aux) -> (k, d) are evaluated on the states (k, d)
     of the rows listed in rows, so a row may carry its own parameters; aux is
     what the objective computed at those states (e.g. Born probabilities),
-    handed to the gradient so it need not compute it again. Each row runs
-    its own Armijo line search (_armijo) and stops on its own test. Returns
+    handed to the gradient so it need not compute it again. Each row takes
+    its own steps (_sphere_step) and stops on its own test. Returns
     (states, values, iterations, converged), one entry per row. If trace is
     a list, the values of all rows are appended to it initially and after
     every step; a stopped row repeats its final value.
@@ -206,10 +228,9 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
         trace.append(value.copy())
     for it in range(1, MAX_ITER + 1):
         base, start_value, base_aux = psi[live], value[live], aux[live]
-        g = _project_tangent(base, gradient(base, live, base_aux))
-        new_value = start_value.copy()
-        moved = _armijo(
-            lambda states, i: objective(states, live[i]), base, g, _norm(g), new_value, base_aux
+        grad, new_value = gradient(base, live, base_aux), start_value.copy()
+        moved = _sphere_step(
+            lambda states, i: objective(states, live[i]), base, grad, new_value, base_aux
         ) > 0
         psi[live], value[live], aux[live] = base, new_value, base_aux
         if trace is not None:
@@ -266,21 +287,19 @@ def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> np.ndarra
     return np.sum(np.where(mask, joint * np.log2(ratio), 0.0), axis=(-2, -1))
 
 
-def _reweight_prior(
-    weights: np.ndarray, cond: np.ndarray, max_sweeps: int = 60
-) -> np.ndarray:
+def _reweight_prior(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Multiplicative capacity-style update of every row's prior.
 
     Each sweep multiplies every weight by exp of the divergence of its
     conditional from the current outcome marginal. A row freezes once its
-    largest change falls below CONV_TOL; all rows stop at max_sweeps, since
+    largest change falls below CONV_TOL; all rows stop at _REWEIGHT_SWEEPS, since
     the surrounding see-saw reinvokes this every outer iteration.
     """
     w = weights.copy()
     logc = np.where(cond > _LOG_FLOOR, np.log(np.maximum(cond, _LOG_FLOOR)), 0.0)
     c_logc = np.einsum("...xy,...xy->...x", cond, logc)
     rows, wr = np.arange(len(w)), w
-    for _ in range(max_sweeps):
+    for _ in range(_REWEIGHT_SWEEPS):
         log_q = np.log(np.maximum(_outcome_marginal(wr, cond), _LOG_FLOOR))
         kl = c_logc - (cond @ log_q[..., None])[..., 0]
         new = wr * np.exp(kl)
@@ -304,23 +323,21 @@ def _is_trivial_povm(p: Povm) -> bool:
 
 
 def informational_power_lower_bound(
-    p: Povm, starts: int = 100, seed: int = 0, max_support: int | None = None
+    p: Povm, starts: int = 100, seed: int = 0
 ) -> OptimizationReport:
     """Certified lower bound on the informational power of a POVM.
 
-    See-saw over ensembles of at most max_support (default d^2) pure states:
-    alternate a multiplicative prior reweighting with per-state Riemannian
-    ascent of the mutual information, multi-started over Haar seeds. All
-    starts advance together as one stack; a start leaves it when it
-    converges or reaches MAX_ITER. The returned best_value is the mutual
-    information of the reported ensemble, recomputed from the final states
-    and weights.
+    See-saw over ensembles of d^2 pure states, the most an optimal ensemble
+    needs: alternate a multiplicative prior reweighting with one Riemannian
+    ascent step of the mutual information, taken on all d^2 states of an
+    ensemble as one block, multi-started over Haar seeds. All starts advance
+    together as one stack; a start leaves it when it converges or reaches
+    MAX_ITER. The returned best_value is the mutual information of the
+    reported ensemble, recomputed from the final states and weights.
     """
     _check_run(starts, seed)
     d = p.dim
-    m = max_support if max_support is not None else d * d
-    if m < 1:
-        raise InvalidPovm("max_support must be >= 1")
+    m = d * d
     effects = p.stack()
 
     if _is_trivial_povm(p):
@@ -352,11 +369,18 @@ def informational_power_lower_bound(
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
 
+    def neg_information(states, rows):
+        # the ascent of I descends -I, which accepts exactly the steps an
+        # ascent test would; the priors are the live starts' current ones
+        q = _born(effects, states)
+        return -_mutual_information_bits(weights[rows], q), q
+
     for outer in range(1, MAX_ITER + 1):
         weights = _reweight_prior(weights, cond)
-        for x in range(m):
-            _ascend_state(effects, psis, cond, weights, x)
-        new_value = _mutual_information_bits(weights, cond)
+        neg_value = -_mutual_information_bits(weights, cond)
+        grad = _effect_gradient(-_information_coef(weights, cond), effects, psis)
+        _sphere_step(neg_information, psis, grad, neg_value, cond)
+        new_value = -neg_value
         stalled = new_value - value < CONV_TOL
         value = np.where(stalled, np.maximum(new_value, value), new_value)
         done = np.zeros(len(live), dtype=bool)
@@ -370,7 +394,7 @@ def informational_power_lower_bound(
                 [rngs[s] for s in live[st]],
                 d,
             )
-            inject = (divergence > value[st] + 10 * CONV_TOL) & (augmentations[st] < 20)
+            inject = (divergence > value[st] + 10 * CONV_TOL) & (augmentations[st] < _AUGMENT_CAP)
             done[st[~inject]] = True
             inj = st[inject]
             if inj.size:
@@ -406,11 +430,12 @@ def informational_power_lower_bound(
     )
 
 
-def _best_divergent_state(effects, q_bar, rngs, dim, restarts=3):
+def _best_divergent_state(effects, q_bar, rngs, dim):
     """For every row of the outcome marginals q_bar (k, n), the pure state
     maximizing the divergence of its outcome distribution from that row,
-    found by sphere descent from restarts Haar states drawn from the row's
-    stream in rngs. Returns the states (k, d) and divergences (k,)."""
+    found by sphere descent from _DIVERGENCE_RESTARTS Haar states drawn from
+    the row's stream in rngs. Returns the states (k, d) and divergences (k,)."""
+    restarts = _DIVERGENCE_RESTARTS
     q_bar = np.repeat(np.maximum(q_bar, _LOG_FLOOR), restarts, axis=0)
 
     def objective(phi, rows):
@@ -429,32 +454,6 @@ def _best_divergent_state(effects, q_bar, rngs, dim, restarts=3):
     best = np.argmax(divergence, axis=1)
     rows = np.arange(len(best))
     return phi.reshape(-1, restarts, dim)[rows, best], divergence[rows, best]
-
-
-def _ascend_state(effects, psis, cond, weights, x):
-    """One Armijo ascent step of the mutual information in state x of every
-    row of the stacked ensembles; updates psis and cond in place. The step
-    descends the negated information, which accepts exactly the steps an
-    ascent test would."""
-    wx = weights[:, x]
-    rows = np.flatnonzero(~(wx < _LOG_FLOOR))
-    w, c, psi = weights[rows], cond[rows], psis[rows, x]
-    q = _outcome_marginal(w, c)
-    coef = -wx[rows, None] * np.log2(
-        np.maximum(c[:, x], _LOG_FLOOR) / np.maximum(q, _LOG_FLOOR)
-    )
-    g = _project_tangent(psi, _effect_gradient(coef, effects, psi))
-
-    def objective(cand, i):
-        q_cand = _born(effects, cand)
-        trial = c[i]
-        trial[:, x] = q_cand
-        return -_mutual_information_bits(w[i], trial), q_cand
-
-    q_x = c[:, x].copy()
-    moved = _armijo(objective, psi, g, _norm(g), -_mutual_information_bits(w, c), q_x) > 0
-    psis[rows[moved], x] = psi[moved]
-    cond[rows[moved], x] = q_x[moved]
 
 
 def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:

@@ -182,15 +182,17 @@ def save(obj, path):
 
 
 def load_fiducial(path) -> np.ndarray:
-    """Load a fiducial vector file {"kind": "fiducial", "dim": d, "amplitudes": [[re,im],...]}."""
+    """Load a fiducial vector file {"kind": "fiducial", "dim": d, "amplitudes": [[re,im],...]};
+    the declared dim must be the int count of amplitudes."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         if data["kind"] != "fiducial":
             raise InvalidInput(f"expected kind 'fiducial', got {data['kind']!r}")
+        dim = data["dim"]
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        if len(amps) != data["dim"]:
-            raise InvalidInput("amplitude count does not match dim")
+        if type(dim) is not int or len(amps) != dim:
+            raise InvalidInput(f"declared dim {dim!r} != amplitude count {len(amps)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed fiducial file: {exc}") from exc
     return hilbert.check_state_vector(amps)

@@ -258,6 +258,12 @@ class TestOptimizerCommands:
         assert "--format" in err
         assert "Traceback" not in err
 
+    def test_max_support_is_unknown_argument(self, capsys):
+        # the see-saw always searches ensembles of d^2 states
+        code = main(["power", "--builtin", "tetrahedral", "--starts", "2", "--max-support", "2"])
+        assert code == 2
+        assert "--max-support" in capsys.readouterr().err
+
     def test_zero_starts_is_usage_error(self, capsys):
         code = main(["power", "--builtin", "tetrahedral", "--starts", "0"])
         assert code == 2

@@ -260,6 +260,14 @@ class TestSerialization:
         loaded = states.load_fiducial(path)
         np.testing.assert_allclose(loaded, amps, atol=1e-15)
 
+    @pytest.mark.parametrize("dim, count", [(2.0, 2), (True, 1), ("2", 2), (3, 2)])
+    def test_fiducial_rejects_declared_dim_unlike_amplitudes(self, tmp_path, dim, count):
+        path = tmp_path / "fid.json"
+        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * (count - 1)
+        path.write_text(json.dumps({"kind": "fiducial", "dim": dim, "amplitudes": amps}))
+        with pytest.raises(InvalidInput, match="dim"):
+            states.load_fiducial(path)
+
 
 def test_pretty_good_povm_always_valid():
     rng = np.random.default_rng(41)
