@@ -2,10 +2,13 @@
 
 The state searches take one kind of step (_sphere_step) on a unit sphere or
 a product of them: Euclidean gradient projected onto the tangent spaces,
-normalization retraction, backtracking (Armijo) line search. The
-informational-power search alternates a multiplicative prior reweighting
-with one such step on all states of each ensemble, see-saw style. A
-multi-start search runs all of its starts at once as one stack of states.
+normalization retraction, backtracking (Armijo) line search. A search does
+not restart at length 1: each step first tries the Barzilai-Borwein length
+of the block's last move (Barzilai-Borwein 1988; Iannazzo-Porcelli 2018 for
+the Riemannian form). The informational-power search alternates a
+multiplicative prior reweighting with one such step on all states of each
+ensemble, see-saw style. A multi-start search runs all of its starts at
+once as one stack of states.
 Every routine is deterministic for a fixed seed; each start owns a private
 PRNG stream derived from (seed, start index).
 """
@@ -157,23 +160,23 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     return _project_tangent(psi, g)
 
 
-def _armijo(objective, psi, g, gnorm, value, aux):
+def _armijo(objective, psi, g, gnorm, value, aux, step):
     """Armijo backtracking line search along -g from every block of psi (k, ..., d).
 
     A block is one state or several (..., d) moved together, each state
-    retracted to its sphere. The step of a block starts at 1 and is halved
-    until the trial lowers the value by at least _ARMIJO_C * step * gnorm^2,
-    or the step falls to _MIN_STEP; blocks whose gnorm is below GRAD_TOL do
-    not search. Every searching block tries _ARMIJO_BATCH successive step
-    lengths in one call objective(states (t, ..., d), rows (t,)) ->
-    (values (t,), aux (t, ...)), rows naming the block of psi each trial
-    belongs to, and takes the first that passes. The lengths are exact powers
-    of two, so a block accepts the same step, state and value as a search
-    trying one length per call. psi, value and aux are updated in place on
-    the blocks that move. Returns the accepted step of every block, 0 where
-    the search failed.
+    retracted to its sphere. The step of a block starts at its first trial
+    length step (k,) and is halved until the trial lowers the value by at
+    least _ARMIJO_C * step * gnorm^2, or the step falls to _MIN_STEP; blocks
+    whose gnorm is below GRAD_TOL do not search. Every searching block tries
+    _ARMIJO_BATCH successive step lengths in one call objective(states
+    (t, ..., d), rows (t,)) -> (values (t,), aux (t, ...)), rows naming the
+    block of psi each trial belongs to, and takes the first that passes. The
+    lengths are the first length times exact powers of two, so a block
+    accepts the same step, state and value as a search trying one length per
+    call. psi, value and aux are updated in place on the blocks that move.
+    Returns the accepted step of every block, 0 where the search failed.
     """
-    step = np.ones(len(psi))
+    step = np.array(step, dtype=float)
     accepted = np.zeros(len(psi))
     slope = gnorm**2
     search = np.flatnonzero(~(gnorm < GRAD_TOL))
@@ -198,12 +201,24 @@ def _armijo(objective, psi, g, gnorm, value, aux):
     return accepted
 
 
-def _sphere_step(objective, psi, grad, value, aux):
-    """One steepest-descent step from every block of psi (k, ..., d) along the
-    Euclidean gradient grad projected onto the tangent spaces: _armijo with
-    the block's gradient norm. Returns the accepted steps (0: no move)."""
-    g = _project_tangent(psi, grad)
-    return _armijo(objective, psi, g, _norm(g.reshape(len(g), -1)), value, aux)
+def _bb_length(s, y):
+    """Barzilai-Borwein length <s,s>/<s,y> of every block (k, ..., d), with
+    s the block's last move and y the change of its tangent gradient; the
+    real inner products run over the whole block. 1 where <s,y> <= 0 or the
+    ratio is not finite, as at s = 0."""
+    s, y = s.reshape(len(s), -1), y.reshape(len(y), -1)
+    ss = _row_dot(s.real, s.real) + _row_dot(s.imag, s.imag)
+    sy = _row_dot(s.real, y.real) + _row_dot(s.imag, y.imag)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        length = ss / sy
+    return np.where((sy > 0) & np.isfinite(length), length, 1.0)
+
+
+def _sphere_step(objective, psi, g, value, aux, step):
+    """One steepest-descent step from every block of psi (k, ..., d) along its
+    tangent gradient g, first trying the length step (k,): _armijo with the
+    block's gradient norm. Returns the accepted steps (0: no move)."""
+    return _armijo(objective, psi, g, _norm(g.reshape(len(g), -1)), value, aux, step)
 
 
 def _riemannian_descent(objective, gradient, psi, trace=None):
@@ -214,23 +229,28 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
     of the rows listed in rows, so a row may carry its own parameters; aux is
     what the objective computed at those states (e.g. Born probabilities),
     handed to the gradient so it need not compute it again. Each row takes
-    its own steps (_sphere_step) and stops on its own test. Returns
-    (states, values, iterations, converged), one entry per row. If trace is
-    a list, the values of all rows are appended to it initially and after
-    every step; a stopped row repeats its final value.
+    its own steps (_sphere_step), first trying the Barzilai-Borwein length
+    of its last move (1 on its first step), and stops on its own test.
+    Returns (states, values, iterations, converged), one entry per row. If
+    trace is a list, the values of all rows are appended to it initially and
+    after every step; a stopped row repeats its final value.
     """
     psi = np.array(psi, dtype=complex)
     live = np.arange(len(psi))
     value, aux = objective(psi, live)
     iterations = np.full(len(psi), MAX_ITER)
     converged = np.zeros(len(psi), dtype=bool)
+    # each row's previous state and tangent gradient; s = 0 gives length 1
+    prev_psi, prev_g = psi.copy(), np.zeros_like(psi)
     if trace is not None:
         trace.append(value.copy())
     for it in range(1, MAX_ITER + 1):
         base, start_value, base_aux = psi[live], value[live], aux[live]
-        grad, new_value = gradient(base, live, base_aux), start_value.copy()
+        g = _project_tangent(base, gradient(base, live, base_aux))
+        step = _bb_length(base - prev_psi[live], g - prev_g[live])
+        prev_psi[live], prev_g[live], new_value = base, g, start_value.copy()
         moved = _sphere_step(
-            lambda states, i: objective(states, live[i]), base, grad, new_value, base_aux
+            lambda states, i: objective(states, live[i]), base, g, new_value, base_aux, step
         ) > 0
         psi[live], value[live], aux[live] = base, new_value, base_aux
         if trace is not None:
@@ -331,8 +351,9 @@ def informational_power_lower_bound(
     needs: alternate a multiplicative prior reweighting with one Riemannian
     ascent step of the mutual information, taken on all d^2 states of an
     ensemble as one block, multi-started over Haar seeds. All starts advance
-    together as one stack; a start leaves it when it converges or reaches
-    MAX_ITER. The returned best_value is the mutual information of the
+    together as one stack; a start leaves it when it converges, when it
+    stalls at a violating state with no augmentation left (not converged),
+    or at MAX_ITER. The returned best_value is the mutual information of the
     reported ensemble, recomputed from the final states and weights.
     """
     _check_run(starts, seed)
@@ -363,6 +384,8 @@ def informational_power_lower_bound(
     value = _mutual_information_bits(weights, cond)
     augmentations = np.zeros(starts, dtype=int)
     live = np.arange(starts)
+    # each live start's previous states and tangent gradient; s = 0 gives length 1
+    prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
 
     final_psis, final_weights = psis.copy(), weights.copy()
     values = np.zeros(starts)
@@ -379,11 +402,16 @@ def informational_power_lower_bound(
         weights = _reweight_prior(weights, cond)
         neg_value = -_mutual_information_bits(weights, cond)
         grad = _effect_gradient(-_information_coef(weights, cond), effects, psis)
-        _sphere_step(neg_information, psis, grad, neg_value, cond)
+        g = _project_tangent(psis, grad)
+        step = _bb_length(psis - prev_psis, g - prev_g)
+        prev_psis, prev_g = psis.copy(), g
+        _sphere_step(neg_information, psis, g, neg_value, cond, step)
         new_value = -neg_value
         stalled = new_value - value < CONV_TOL
         value = np.where(stalled, np.maximum(new_value, value), new_value)
+        # done: the start stops here; optimal: no violating state was found
         done = np.zeros(len(live), dtype=bool)
+        optimal = np.zeros(len(live), dtype=bool)
         st = np.flatnonzero(stalled)
         if st.size:
             # first-order optimality: every pure state must satisfy
@@ -394,8 +422,10 @@ def informational_power_lower_bound(
                 [rngs[s] for s in live[st]],
                 d,
             )
-            inject = (divergence > value[st] + 10 * CONV_TOL) & (augmentations[st] < _AUGMENT_CAP)
+            violated = divergence > value[st] + 10 * CONV_TOL
+            inject = violated & (augmentations[st] < _AUGMENT_CAP)
             done[st[~inject]] = True
+            optimal[st[~violated]] = True
             inj = st[inject]
             if inj.size:
                 augmentations[inj] += 1
@@ -405,12 +435,15 @@ def informational_power_lower_bound(
                 weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
                 cond[inj] = _born(effects, psis[inj])
                 value[inj] = _mutual_information_bits(weights[inj], cond[inj])
+                # the ensemble changed under the start: its next step tries 1
+                prev_psis[inj] = psis[inj]
         ended = live[done]
-        iterations[ended], converged[ended], values[ended] = outer, True, value[done]
+        iterations[ended], converged[ended], values[ended] = outer, optimal[done], value[done]
         final_psis[ended], final_weights[ended] = psis[done], weights[done]
         keep = ~done
         live, psis, weights, cond = live[keep], psis[keep], weights[keep], cond[keep]
         value, augmentations = value[keep], augmentations[keep]
+        prev_psis, prev_g = prev_psis[keep], prev_g[keep]
         if not live.size:
             break
     final_psis[live], final_weights[live], values[live] = psis, weights, value

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,16 @@ from infopower.optimize import (
     _MIN_STEP,
     CONV_TOL,
     GRAD_TOL,
+    MAX_ITER,
     HaarSampler,
     _armijo,
+    _bb_length,
     _effect_gradient,
     _information_coef,
     _normalize,
     _project_tangent,
     _riemannian_descent,
+    _sphere_step,
     informational_power_lower_bound,
     min_output_entropy,
     output_entropy_gradient,
@@ -153,6 +158,18 @@ class TestInformationalPower:
         r2 = informational_power_lower_bound(p, starts=6, seed=9)
         assert r1.best_value == r2.best_value
         assert r1.values_per_start == r2.values_per_start
+
+    def test_violation_past_the_augmentation_cap_is_not_converged(self, monkeypatch):
+        # a start that stalls with a known violating state but no augmentation
+        # left stops there, and is not reported as converged
+        def violating(effects, q_bar, rngs, dim):
+            return np.zeros((len(rngs), dim), dtype=complex), np.full(len(rngs), 10.0)
+
+        monkeypatch.setattr(optimize, "_AUGMENT_CAP", 0)
+        monkeypatch.setattr(optimize, "_best_divergent_state", violating)
+        report = informational_power_lower_bound(sic.tetrahedral_povm(), starts=4, seed=9)
+        assert report.converged_starts == 0
+        assert max(report.iterations_per_start) < MAX_ITER
 
     def test_sandwich_property(self):
         for povm, d, starts in ((sic.tetrahedral_povm(), 2, 20), (sic.qutrit_sic_povm(), 3, 8)):
@@ -328,11 +345,11 @@ class TestArmijo:
                 return -v, steps
 
             values = -value
-            steps = _armijo(negated, states, -g, gnorm, values, aux)
+            steps = _armijo(negated, states, -g, gnorm, values, aux, np.ones(len(psi)))
             values = -values
         else:
             values = value.copy()
-            steps = _armijo(objective, states, g, gnorm, values, aux)
+            steps = _armijo(objective, states, g, gnorm, values, aux, np.ones(len(psi)))
 
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(states, ref_states)
@@ -351,7 +368,9 @@ class TestArmijo:
     def test_blocks_of_one_state_match_rows(self):
         objective, psi, g, gnorm, value, tried = self.setup_rows(False)
         row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
-        row_steps = _armijo(objective, row_states, g, gnorm, row_values, row_aux)
+        row_steps = _armijo(
+            objective, row_states, g, gnorm, row_values, row_aux, np.ones(len(psi))
+        )
 
         tried[:] = 0
         block_states, block_values = psi[:, None].copy(), value.copy()
@@ -363,6 +382,7 @@ class TestArmijo:
             gnorm,
             block_values,
             block_aux,
+            np.ones(len(psi)),
         )
         assert np.array_equal(block_steps, row_steps)
         assert np.array_equal(block_states[:, 0], row_states)
@@ -370,40 +390,126 @@ class TestArmijo:
         assert np.array_equal(block_aux, row_aux, equal_nan=True)
 
 
+class TestBarzilaiBorwein:
+    """The first trial length of a sphere step is the Barzilai-Borwein length
+    <s,s>/<s,y> of the block's last move s and gradient change y, else 1."""
+
+    def test_length_is_the_ratio_of_real_inner_products(self):
+        s = np.array([[1 + 2j, 0.5], [0.25j, -1.0]])
+        y = np.array([[3.0, 0.5 + 1j], [1 + 0.5j, -0.25 - 2j]])
+        # <s,s> = 1 + 4 + 0.25 and 0.0625 + 1; <s,y> = 3 + 0.25 and 0.125 + 0.25
+        expected = [5.25 / 3.25, 1.0625 / 0.375]
+        np.testing.assert_allclose(_bb_length(s, y), expected, rtol=1e-15)
+
+    def test_length_is_one_without_positive_curvature(self):
+        s = np.array([[0.0, 0.0], [1.0, 1j], [1.0, 0.0], [1e-300, 0.0]])
+        y = np.array([[1.0, 2j], [-2.0, 0.5j], [0.0, 3.0], [1e-300, 0.0]])
+        # s = 0, <s,y> < 0, <s,y> = 0, and a ratio that is 0/0 in floating point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lengths = _bb_length(s, y)
+        assert lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_blocks_of_one_state_match_rows(self):
+        objective, psi, g, gnorm, value, tried = TestArmijo().setup_rows(False)
+        rng = np.random.default_rng(22)
+        s = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+        y = s * rng.uniform(-0.5, 4.0, size=(len(psi), 1)) + 0.1 * rng.normal(size=psi.shape)
+        row_lengths = _bb_length(s, y)
+        block_lengths = _bb_length(s[:, None], y[:, None])
+        assert np.array_equal(block_lengths, row_lengths)
+        assert (row_lengths != 1.0).any() and (row_lengths == 1.0).any()
+
+        row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
+        row_steps = _sphere_step(objective, row_states, g, row_values, row_aux, row_lengths)
+        tried[:] = 0
+        block_states, block_values = psi[:, None].copy(), value.copy()
+        block_aux = np.full(len(psi), np.nan)
+        block_steps = _sphere_step(
+            lambda st, rows: objective(st[:, 0], rows),
+            block_states,
+            g[:, None],
+            block_values,
+            block_aux,
+            block_lengths,
+        )
+        assert np.array_equal(block_steps, row_steps)
+        assert np.array_equal(block_states[:, 0], row_states)
+        assert np.array_equal(block_values, row_values)
+        assert np.array_equal(block_aux, row_aux, equal_nan=True)
+
+    def test_descent_first_step_tries_one(self, monkeypatch):
+        lengths = []
+
+        def recording(objective, psi, g, value, aux, step):
+            lengths.append(step.copy())
+            return _sphere_step(objective, psi, g, value, aux, step)
+
+        monkeypatch.setattr(optimize, "_sphere_step", recording)
+        min_output_entropy(sic.qutrit_sic_povm(), starts=5, seed=3)
+        assert lengths[0].tolist() == [1.0] * 5
+        assert any((step != 1.0).any() for step in lengths[1:])
+
+    def test_see_saw_tries_one_after_every_augmentation(self, monkeypatch):
+        # one start whose every divergence check reports a violation, so it is
+        # augmented _AUGMENT_CAP times; its next step after each must try 1
+        events = []
+        check = optimize._best_divergent_state
+
+        def recording_step(objective, psi, g, value, aux, step):
+            if psi.ndim == 3:  # an ensemble block, not a divergence-check row
+                events.append(float(step[0]))
+            return _sphere_step(objective, psi, g, value, aux, step)
+
+        def violating_check(effects, q_bar, rngs, dim):
+            events.append("check")
+            phi, divergence = check(effects, q_bar, rngs, dim)
+            return phi, divergence + 10.0
+
+        monkeypatch.setattr(optimize, "_sphere_step", recording_step)
+        monkeypatch.setattr(optimize, "_best_divergent_state", violating_check)
+        informational_power_lower_bound(sic.tetrahedral_povm(), starts=1, seed=9)
+        after_check = [b for a, b in zip(events, events[1:]) if a == "check"]
+        assert events[0] == 1.0
+        assert after_check == [1.0] * optimize._AUGMENT_CAP
+        assert any(e not in ("check", 1.0) for e in events)
+
+
 class TestBatchedStarts:
     """All starts run as one stack; each start still follows the trajectory
     it follows when it runs on its own."""
 
-    # values_per_start and iterations_per_start of the one-start-at-a-time
-    # sphere descent for the same call; the see-saw entries are those of the
-    # block see-saw, which ascends all states of an ensemble in one step
+    # values_per_start and iterations_per_start of the same call, recorded
+    # from the sphere step that first tries the Barzilai-Borwein length of
+    # each row's (each ensemble's) last move; the see-saw entries are those
+    # of the block see-saw, which ascends all states of an ensemble in one step
     SERIAL = {
         "power-tetrahedral": (
             [
-                0.41503749927883726,
-                0.4150374992783854,
-                0.4150374992783872,
-                0.41503749927883055,
-                0.3933819283339756,
-                0.41503749894894304,
+                0.4150374992786837,
+                0.41503749927868416,
+                0.4150374992786837,
+                0.41503749927880873,
+                0.41503749927858824,
+                0.4150374992785879,
             ],
-            [43, 40, 26, 178, 39, 27],
+            [28, 32, 20, 31, 52, 58],
         ),
         "power-qutrit": (
-            [0.5849625006875961, 0.5849625007067386, 0.5849625007032069, 0.5015717880965462],
-            [108, 37, 22, 200],
+            [0.5849625007192665, 0.584962500720298, 0.5849625007078354, 0.5015717890239234],
+            [77, 25, 16, 200],
         ),
         "minent-qutrit": (
             [
-                2.5849625024829597, 2.668280638070717, 2.668280638992717,
-                2.668280638148403, 2.668280638077342, 2.668280638225803,
-                2.6682806381157715, 2.668280638105082, 2.6682806382970403,
-                2.6682806382383024, 2.6682806381388966, 2.668280638094185,
-                2.5849625025064755, 2.6682806589141124, 2.6682806384675386,
-                2.6682806382150335, 2.668280638080338, 2.5849625007212023,
-                2.6682806380754784, 2.584962502506911,
+                2.5849625007213666, 2.6682806380796116, 2.6682806393289193,
+                2.668280638113952, 2.6682806380663378, 2.668280638069178,
+                2.668280638065871, 2.6682806380660136, 2.668280638066016,
+                2.6682806381130058, 2.6682806380675883, 2.668280638071464,
+                2.5849625007213812, 2.677973831856232, 2.6682806380687145,
+                2.66828063807335, 2.6682806380678903, 2.5849625007252,
+                2.668280638067339, 2.584962500721312,
             ],
-            [18, 26, 24, 22, 30, 25, 19, 36, 22, 21, 25, 23, 22, 112, 21, 22, 23, 23, 79, 19],
+            [7, 17, 15, 14, 24, 17, 18, 25, 18, 22, 22, 23, 12, 13, 21, 19, 21, 13, 50, 12],
         ),
     }
     CALLS = {
