@@ -38,14 +38,14 @@ def _load_object(spec_str):
         return BUILTIN_OBJECTS[name]()
     try:
         return states.load(spec_str)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise InfopowerError(f"cannot load {spec_str}: {exc}") from exc
 
 
 def _load_povm(args) -> states.Povm:
-    if getattr(args, "builtin", None):
+    if args.builtin:
         obj = _load_object(f"builtin:{args.builtin}")
-    elif getattr(args, "fiducial", None):
+    elif args.fiducial:
         obj = sic.wh_covariant_povm(states.load_fiducial(args.fiducial))
     else:
         obj = _load_object(args.povm)
@@ -83,10 +83,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_sic(args) -> int:
-    if args.builtin:
-        obj = _load_object(f"builtin:{args.builtin}")
-    else:
-        obj = _load_object(args.path)
+    obj = _load_object(f"builtin:{args.builtin}" if args.builtin else args.path)
     elements = obj.effects if isinstance(obj, states.Povm) else obj.states
     cert = sic.is_sic(elements)
     text = json.dumps(cert.to_json_dict(), indent=2) + "\n"
@@ -126,16 +123,9 @@ def cmd_mutinfo(args) -> int:
     return 0
 
 
-def cmd_power(args) -> int:
-    povm = _load_povm(args)
-    report = optimize.informational_power_lower_bound(povm, starts=args.starts, seed=args.seed)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_minent(args) -> int:
-    povm = _load_povm(args)
-    report = optimize.min_output_entropy(povm, starts=args.starts, seed=args.seed)
+def cmd_search(args) -> int:
+    """power and minent: run the multi-start search args.search on the POVM."""
+    report = args.search(_load_povm(args), starts=args.starts, seed=args.seed)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -184,17 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mi.add_argument("povm", help="POVM JSON file or builtin:NAME")
     p_mi.set_defaults(func=cmd_mutinfo)
 
-    p_power = sub.add_parser("power", help="informational power lower bound")
-    _add_povm_source(p_power)
-    p_power.add_argument("--starts", type=int, default=100)
-    p_power.add_argument("--seed", type=int, default=0)
-    p_power.set_defaults(func=cmd_power)
-
-    p_minent = sub.add_parser("minent", help="minimal outcome entropy over pure states")
-    _add_povm_source(p_minent)
-    p_minent.add_argument("--starts", type=int, default=100)
-    p_minent.add_argument("--seed", type=int, default=0)
-    p_minent.set_defaults(func=cmd_minent)
+    for name, search, help_text in (
+        ("power", optimize.informational_power_lower_bound, "informational power lower bound"),
+        ("minent", optimize.min_output_entropy, "minimal outcome entropy over pure states"),
+    ):
+        p_search = sub.add_parser(name, help=help_text)
+        _add_povm_source(p_search)
+        p_search.add_argument("--starts", type=int, default=100)
+        p_search.add_argument("--seed", type=int, default=0)
+        p_search.set_defaults(func=cmd_search, search=search)
 
     p_scrooge = sub.add_parser("scrooge", help="Monte-Carlo information floor")
     p_scrooge.add_argument("--dim", type=int, required=True)
@@ -202,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scrooge.add_argument("--seed", type=int, default=0)
     p_scrooge.set_defaults(func=cmd_scrooge)
 
-    for sp in (p_bounds, p_verify, p_mi, p_power, p_minent, p_scrooge):
+    for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="write output to a file")
     # power, minent and scrooge always print a JSON report
     for sp in (p_bounds, p_verify, p_mi):
@@ -219,10 +207,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InfopowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InfopowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,15 @@ a product of them: Euclidean gradient projected onto the tangent spaces,
 normalization retraction, backtracking (Armijo) line search. A search does
 not restart at length 1: each step first tries the Barzilai-Borwein length
 of the block's last move (Barzilai-Borwein 1988; Iannazzo-Porcelli 2018 for
-the Riemannian form). The informational-power search alternates a
-multiplicative prior reweighting with one such step on all states of each
-ensemble, see-saw style. A multi-start search runs all of its starts at
-once as one stack of states.
+the Riemannian form). One relative-entropy descent (_divergence_descent)
+maximizes D(Born(psi) || r) over pure states. It serves both the minimal
+outcome entropy, with r = 1 since H(q) = -D(q || 1), and the see-saw's
+first-order-optimality check, with r the ensemble's outcome marginal. The
+informational-power search alternates a multiplicative prior reweighting
+with one such step on all states of each ensemble, see-saw style. A
+multi-start search runs all of its starts at once as one stack of states:
+the descent and the see-saw keep full per-start arrays and work on the
+rows listed in `live`, the starts that have not stopped.
 Every routine is deterministic for a fixed seed; each start owns a private
 PRNG stream derived from (seed, start index).
 """
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidDimension, InvalidInput
-from .infotheory import _born, _entropy_bits
+from .infotheory import _ZERO_PROB, _born, _entropy_bits
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -82,6 +87,23 @@ class OptimizationReport:
         return out
 
 
+def _report(seed, values, iterations, converged, weights, states, best) -> OptimizationReport:
+    """Report of a multi-start search from its per-start values, iterations
+    and converged flags (starts,); weights (m,) and states (m, d) are the
+    ensemble of start best."""
+    return OptimizationReport(
+        best_value=float(values[best]),
+        best_states=list(zip(weights.tolist(), states)),
+        starts=len(values),
+        converged_starts=int(converged.sum()),
+        iterations_per_start=iterations.tolist(),
+        values_per_start=values.tolist(),
+        seed=seed,
+        tolerance_used=CONV_TOL,
+        any_zero_weight=bool(np.any(weights < _LOG_FLOOR)),
+    )
+
+
 def _start_rngs(seed: int, starts: int):
     return [
         np.random.Generator(np.random.PCG64(child))
@@ -111,16 +133,16 @@ def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) ->
     return 2.0 * np.einsum("...y,yij,...j->...i", coef, effects, psis)
 
 
-def _entropy_coef(q: np.ndarray) -> np.ndarray:
-    """Derivative of the outcome entropy in bits with respect to each q_y."""
-    return -(np.log2(np.maximum(q, _LOG_FLOOR)) + 1.0 / np.log(2))
+def _log_ratio(p: np.ndarray, r) -> np.ndarray:
+    """log2(p / r) elementwise, p floored at _LOG_FLOOR."""
+    return np.log2(np.maximum(p, _LOG_FLOOR) / r)
 
 
 def _information_coef(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Derivative w_x log2(p(y|x) / q(y)) of I(X;Y) in bits with respect to
     each p(y|x): (..., m), (..., m, n) -> (..., m, n)."""
     q = np.maximum(_outcome_marginal(weights, cond), _LOG_FLOOR)
-    return weights[..., None] * np.log2(np.maximum(cond, _LOG_FLOOR) / q[..., None, :])
+    return weights[..., None] * _log_ratio(cond, q[..., None, :])
 
 
 # Row products go through matmul, which runs the same BLAS dot and gemv
@@ -156,28 +178,32 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     """Riemannian gradient of the outcome entropy at a pure state."""
     psi = hilbert.check_state_vector(psi)
     effects = p.stack()
-    g = _effect_gradient(_entropy_coef(_born(effects, psi)), effects, psi)
-    return _project_tangent(psi, g)
+    # the entropy is -D(q || 1)
+    coef = -(_log_ratio(_born(effects, psi), 1.0) + 1.0 / np.log(2))
+    return _project_tangent(psi, _effect_gradient(coef, effects, psi))
 
 
-def _armijo(objective, psi, g, gnorm, value, aux, step):
-    """Armijo backtracking line search along -g from every block of psi (k, ..., d).
+def _sphere_step(objective, psi, g, value, aux, step):
+    """One steepest-descent step from every block of psi (k, ..., d) along its
+    tangent gradient g, by Armijo backtracking.
 
     A block is one state or several (..., d) moved together, each state
-    retracted to its sphere. The step of a block starts at its first trial
-    length step (k,) and is halved until the trial lowers the value by at
-    least _ARMIJO_C * step * gnorm^2, or the step falls to _MIN_STEP; blocks
-    whose gnorm is below GRAD_TOL do not search. Every searching block tries
-    _ARMIJO_BATCH successive step lengths in one call objective(states
-    (t, ..., d), rows (t,)) -> (values (t,), aux (t, ...)), rows naming the
-    block of psi each trial belongs to, and takes the first that passes. The
-    lengths are the first length times exact powers of two, so a block
-    accepts the same step, state and value as a search trying one length per
-    call. psi, value and aux are updated in place on the blocks that move.
-    Returns the accepted step of every block, 0 where the search failed.
+    retracted to its sphere; gnorm is the norm of the block's whole g. The
+    step of a block starts at its first trial length step (k,) and is halved
+    until the trial lowers the value by at least _ARMIJO_C * step * gnorm^2,
+    or the step falls to _MIN_STEP; blocks whose gnorm is below GRAD_TOL do
+    not search. Every searching block tries _ARMIJO_BATCH successive step
+    lengths in one call objective(states (t, ..., d), rows (t,)) -> (values
+    (t,), aux (t, ...)), rows naming the block of psi each trial belongs to,
+    and takes the first that passes. The lengths are the first length times
+    exact powers of two, so a block accepts the same step, state and value
+    as a search trying one length per call. psi, value and aux are updated
+    in place on the blocks that move. Returns the accepted step of every
+    block, 0 where the search failed (no move).
     """
     step = np.array(step, dtype=float)
     accepted = np.zeros(len(psi))
+    gnorm = _norm(g.reshape(len(g), -1))
     slope = gnorm**2
     search = np.flatnonzero(~(gnorm < GRAD_TOL))
     block = (1,) * (psi.ndim - 1)
@@ -212,13 +238,6 @@ def _bb_length(s, y):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         length = ss / sy
     return np.where((sy > 0) & np.isfinite(length), length, 1.0)
-
-
-def _sphere_step(objective, psi, g, value, aux, step):
-    """One steepest-descent step from every block of psi (k, ..., d) along its
-    tangent gradient g, first trying the length step (k,): _armijo with the
-    block's gradient norm. Returns the accepted steps (0: no move)."""
-    return _armijo(objective, psi, g, _norm(g.reshape(len(g), -1)), value, aux, step)
 
 
 def _riemannian_descent(objective, gradient, psi, trace=None):
@@ -266,6 +285,28 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
     return psi, value, iterations, converged
 
 
+def _divergence_descent(effects, ref, psi0):
+    """Maximize the divergence D(q || r) in bits of the outcome distribution
+    q = Born(psi) from a reference r, by descending -D from every row of
+    psi0 (R, d) with that row's reference in ref (R, n) or (R, 1). With r = 1,
+    -D is the outcome entropy H(q). Outcomes with q at or below _ZERO_PROB
+    count as zeros. Returns (states, divergences, iterations, converged),
+    one entry per row.
+    """
+
+    def objective(psi, rows):
+        q = _born(effects, psi)
+        nonzero = q > _ZERO_PROB
+        terms = q * np.log2(np.where(nonzero, q, 1.0) / ref[rows])
+        return -np.sum(np.where(nonzero, terms, 0.0), axis=-1), q
+
+    def gradient(psi, rows, q):
+        return _effect_gradient(-(_log_ratio(q, ref[rows]) + 1.0 / np.log(2)), effects, psi)
+
+    psi, neg_divergence, iterations, converged = _riemannian_descent(objective, gradient, psi0)
+    return psi, -neg_divergence, iterations, converged
+
+
 def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> OptimizationReport:
     """Multi-start minimization of the outcome entropy H(Y|X=x) over pure states.
 
@@ -273,29 +314,13 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     from its own stream.
     """
     _check_run(starts, seed)
-    effects = p.stack()
-
-    def objective(psi, rows):
-        q = _born(effects, psi)
-        return _entropy_bits(q), q
-
-    def gradient(psi, rows, q):
-        return _effect_gradient(_entropy_coef(q), effects, psi)
-
-    rngs = _start_rngs(seed, starts)
-    psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in rngs])
-    psis, values, iterations, converged = _riemannian_descent(objective, gradient, psi0)
-    best = int(np.argmin(values))
-    return OptimizationReport(
-        best_value=float(values[best]),
-        best_states=[(1.0, psis[best])],
-        starts=starts,
-        converged_starts=int(converged.sum()),
-        iterations_per_start=iterations.tolist(),
-        values_per_start=values.tolist(),
-        seed=seed,
-        tolerance_used=CONV_TOL,
+    psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in _start_rngs(seed, starts)])
+    psis, divergence, iterations, converged = _divergence_descent(
+        p.stack(), np.ones((starts, 1)), psi0
     )
+    values = -divergence
+    best = int(np.argmin(values))
+    return _report(seed, values, iterations, converged, np.ones(1), psis[best][None], best)
 
 
 def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
@@ -363,70 +388,55 @@ def informational_power_lower_bound(
 
     if _is_trivial_povm(p):
         # every effect proportional to the identity: no state carries information
-        e0 = np.zeros(d, dtype=complex)
-        e0[0] = 1.0
-        return OptimizationReport(
-            best_value=0.0,
-            best_states=[(1.0, e0)],
-            starts=starts,
-            converged_starts=starts,
-            iterations_per_start=[0] * starts,
-            values_per_start=[0.0] * starts,
-            seed=seed,
-            tolerance_used=CONV_TOL,
-        )
+        zeros, e0 = np.zeros(starts), np.eye(1, d, dtype=complex)
+        return _report(seed, zeros, zeros.astype(int), zeros == 0, np.ones(1), e0, 0)
 
     rngs = _start_rngs(seed, starts)
-    # the live starts' states (k, m, d), priors (k, m) and conditionals (k, m, n)
+    # every start's states (S, m, d), priors (S, m), conditionals (S, m, n)
+    # and value; the loop works on the rows listed in live
     psis = np.stack([_haar_from_rng(rng, d, m) for rng in rngs])
     weights = np.full((starts, m), 1.0 / m)
     cond = _born(effects, psis)
-    value = _mutual_information_bits(weights, cond)
+    values = _mutual_information_bits(weights, cond)
     augmentations = np.zeros(starts, dtype=int)
-    live = np.arange(starts)
-    # each live start's previous states and tangent gradient; s = 0 gives length 1
-    prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
-
-    final_psis, final_weights = psis.copy(), weights.copy()
-    values = np.zeros(starts)
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
+    live = np.arange(starts)
+    # each start's previous states and tangent gradient; s = 0 gives length 1
+    prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
 
     def neg_information(states, rows):
         # the ascent of I descends -I, which accepts exactly the steps an
         # ascent test would; the priors are the live starts' current ones
         q = _born(effects, states)
-        return -_mutual_information_bits(weights[rows], q), q
+        return -_mutual_information_bits(weights[live[rows]], q), q
 
     for outer in range(1, MAX_ITER + 1):
-        weights = _reweight_prior(weights, cond)
-        neg_value = -_mutual_information_bits(weights, cond)
-        grad = _effect_gradient(-_information_coef(weights, cond), effects, psis)
-        g = _project_tangent(psis, grad)
-        step = _bb_length(psis - prev_psis, g - prev_g)
-        prev_psis, prev_g = psis.copy(), g
-        _sphere_step(neg_information, psis, g, neg_value, cond, step)
-        new_value = -neg_value
+        base, c = psis[live], cond[live]
+        w = weights[live] = _reweight_prior(weights[live], c)
+        neg_value = -_mutual_information_bits(w, c)
+        g = _project_tangent(base, _effect_gradient(-_information_coef(w, c), effects, base))
+        step = _bb_length(base - prev_psis[live], g - prev_g[live])
+        prev_psis[live], prev_g[live] = base, g
+        _sphere_step(neg_information, base, g, neg_value, c, step)
+        psis[live], cond[live] = base, c
+        new_value, value = -neg_value, values[live]
         stalled = new_value - value < CONV_TOL
-        value = np.where(stalled, np.maximum(new_value, value), new_value)
-        # done: the start stops here; optimal: no violating state was found
-        done = np.zeros(len(live), dtype=bool)
-        optimal = np.zeros(len(live), dtype=bool)
-        st = np.flatnonzero(stalled)
-        if st.size:
+        values[live] = np.where(stalled, np.maximum(new_value, value), new_value)
+        ended = rows = live[stalled]
+        if rows.size:
             # first-order optimality: every pure state must satisfy
             # D(q_phi || q_bar) <= I; inject any violating state found
             phi, divergence = _best_divergent_state(
                 effects,
-                _outcome_marginal(weights[st], cond[st]),
-                [rngs[s] for s in live[st]],
+                _outcome_marginal(weights[rows], cond[rows]),
+                [rngs[s] for s in rows],
                 d,
             )
-            violated = divergence > value[st] + 10 * CONV_TOL
-            inject = violated & (augmentations[st] < _AUGMENT_CAP)
-            done[st[~inject]] = True
-            optimal[st[~violated]] = True
-            inj = st[inject]
+            violated = divergence > values[rows] + 10 * CONV_TOL
+            inject = violated & (augmentations[rows] < _AUGMENT_CAP)
+            converged[rows[~violated]] = True
+            ended, inj = rows[~inject], rows[inject]
             if inj.size:
                 augmentations[inj] += 1
                 x = np.argmin(weights[inj], axis=1)
@@ -434,56 +444,28 @@ def informational_power_lower_bound(
                 weights[inj, x] = np.maximum(weights[inj, x], 0.05)
                 weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
                 cond[inj] = _born(effects, psis[inj])
-                value[inj] = _mutual_information_bits(weights[inj], cond[inj])
+                values[inj] = _mutual_information_bits(weights[inj], cond[inj])
                 # the ensemble changed under the start: its next step tries 1
                 prev_psis[inj] = psis[inj]
-        ended = live[done]
-        iterations[ended], converged[ended], values[ended] = outer, optimal[done], value[done]
-        final_psis[ended], final_weights[ended] = psis[done], weights[done]
-        keep = ~done
-        live, psis, weights, cond = live[keep], psis[keep], weights[keep], cond[keep]
-        value, augmentations = value[keep], augmentations[keep]
-        prev_psis, prev_g = prev_psis[keep], prev_g[keep]
+        iterations[ended] = outer
+        live = live[~np.isin(live, ended)]
         if not live.size:
             break
-    final_psis[live], final_weights[live], values[live] = psis, weights, value
 
     best = int(np.argmax(values))
-    best_weights = final_weights[best]
-    return OptimizationReport(
-        best_value=float(values[best]),
-        best_states=list(zip(best_weights.tolist(), final_psis[best])),
-        starts=starts,
-        converged_starts=int(converged.sum()),
-        iterations_per_start=iterations.tolist(),
-        values_per_start=values.tolist(),
-        seed=seed,
-        tolerance_used=CONV_TOL,
-        any_zero_weight=bool(np.any(best_weights < _LOG_FLOOR)),
-    )
+    return _report(seed, values, iterations, converged, weights[best], psis[best], best)
 
 
 def _best_divergent_state(effects, q_bar, rngs, dim):
     """For every row of the outcome marginals q_bar (k, n), the pure state
     maximizing the divergence of its outcome distribution from that row,
-    found by sphere descent from _DIVERGENCE_RESTARTS Haar states drawn from
-    the row's stream in rngs. Returns the states (k, d) and divergences (k,)."""
+    found by _divergence_descent from _DIVERGENCE_RESTARTS Haar states drawn
+    from the row's stream in rngs. Returns the states (k, d) and divergences (k,)."""
     restarts = _DIVERGENCE_RESTARTS
-    q_bar = np.repeat(np.maximum(q_bar, _LOG_FLOOR), restarts, axis=0)
-
-    def objective(phi, rows):
-        q = _born(effects, phi)
-        mask = q > _LOG_FLOOR
-        log_ratio = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar[rows])
-        return -np.sum(np.where(mask, q * log_ratio, 0.0), axis=-1), q
-
-    def gradient(phi, rows, q):
-        coef = np.log2(np.maximum(q, _LOG_FLOOR) / q_bar[rows])
-        return _effect_gradient(-(coef + 1.0 / np.log(2)), effects, phi)
-
+    ref = np.repeat(np.maximum(q_bar, _LOG_FLOOR), restarts, axis=0)
     phi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
-    phi, neg_div, _, _ = _riemannian_descent(objective, gradient, phi0)
-    divergence = -neg_div.reshape(-1, restarts)
+    phi, divergence, _, _ = _divergence_descent(effects, ref, phi0)
+    divergence = divergence.reshape(-1, restarts)
     best = np.argmax(divergence, axis=1)
     rows = np.arange(len(best))
     return phi.reshape(-1, restarts, dim)[rows, best], divergence[rows, best]

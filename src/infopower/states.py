@@ -170,10 +170,18 @@ def from_json_dict(data: dict):
     return obj
 
 
+def _read_json(path):
+    """Parse a UTF-8 JSON file; undecodable or malformed content is InvalidInput."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot load {path}: {exc}") from exc
+
+
 def load(path):
     """Load an Ensemble or Povm from a JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(_read_json(path))
 
 
 def save(obj, path):
@@ -184,8 +192,7 @@ def save(obj, path):
 def load_fiducial(path) -> np.ndarray:
     """Load a fiducial vector file {"kind": "fiducial", "dim": d, "amplitudes": [[re,im],...]};
     the declared dim must be the int count of amplitudes."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         if data["kind"] != "fiducial":
             raise InvalidInput(f"expected kind 'fiducial', got {data['kind']!r}")

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,10 +42,14 @@ def qubit_wh_fiducial():
     return np.array([a, np.exp(1j * np.pi / 4) * b])
 
 
+# the d=4 fiducial the benchmark ships, found from this file, not the working directory
+SHIPPED_D4_FIDUCIAL = Path(__file__).resolve().parents[1] / "perfbench" / "fiducial_d4.json"
+
+
 @pytest.fixture(scope="session")
 def d4_fiducial_path():
-    path = os.environ.get("INFOPOWER_D4_FIDUCIAL", "fiducial_d4.json")
-    if not os.path.exists(path):
-        pytest.skip("no 4-dimensional fiducial file supplied "
-                    "(set INFOPOWER_D4_FIDUCIAL or provide ./fiducial_d4.json)")
-    return path
+    for path in (os.environ.get("INFOPOWER_D4_FIDUCIAL", "fiducial_d4.json"), SHIPPED_D4_FIDUCIAL):
+        if os.path.exists(path):
+            return str(path)
+    pytest.skip("no 4-dimensional fiducial file found (set INFOPOWER_D4_FIDUCIAL, "
+                "provide ./fiducial_d4.json, or keep perfbench/fiducial_d4.json)")

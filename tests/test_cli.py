@@ -287,3 +287,21 @@ class TestOutputContracts:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mutinfo", "FILE", "builtin:tetrahedral"],
+            ["verify-sic", "FILE"],
+            ["power", "--povm", "FILE", "--starts", "2"],
+            ["minent", "--fiducial", "FILE", "--starts", "2"],
+        ],
+    )
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"kind": "\xd0\xff\x00"}')
+        code = main([str(path) if a == "FILE" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

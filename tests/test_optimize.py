@@ -21,7 +21,6 @@ from infopower.optimize import (
     GRAD_TOL,
     MAX_ITER,
     HaarSampler,
-    _armijo,
     _bb_length,
     _effect_gradient,
     _information_coef,
@@ -103,6 +102,30 @@ class TestMinOutputEntropy:
         assert report.converged_starts == 8
         assert report.rng_algorithm == "pcg64"
         assert report.tolerance_used == CONV_TOL
+
+
+class TestDivergenceDescent:
+    """The first-order check (reference q_bar) and the minimal entropy
+    (reference 1) run one relative-entropy descent; at a uniform reference
+    D(q || 1/n) = log2(n) - H(q), so both meet the public outcome entropy."""
+
+    @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
+    def test_divergence_from_uniform_is_entropy_deficit(self, povm):
+        p = povm()
+        n = len(p.effects)
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        q_bar = np.full((len(rngs), n), 1.0 / n)
+        phi, divergence = optimize._best_divergent_state(p.stack(), q_bar, rngs, p.dim)
+        for state, value in zip(phi, divergence):
+            deficit = np.log2(n) - conditional_output_entropy(p, state)
+            assert value == pytest.approx(deficit, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
+    def test_min_entropy_is_the_entropy_of_its_state(self, povm):
+        p = povm()
+        report = min_output_entropy(p, starts=10, seed=4)
+        _, psi = report.best_states[0]
+        assert report.best_value == conditional_output_entropy(p, psi)
 
 
 class TestInformationalPower:
@@ -345,11 +368,11 @@ class TestArmijo:
                 return -v, steps
 
             values = -value
-            steps = _armijo(negated, states, -g, gnorm, values, aux, np.ones(len(psi)))
+            steps = _sphere_step(negated, states, -g, values, aux, np.ones(len(psi)))
             values = -values
         else:
             values = value.copy()
-            steps = _armijo(objective, states, g, gnorm, values, aux, np.ones(len(psi)))
+            steps = _sphere_step(objective, states, g, values, aux, np.ones(len(psi)))
 
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(states, ref_states)
@@ -368,18 +391,17 @@ class TestArmijo:
     def test_blocks_of_one_state_match_rows(self):
         objective, psi, g, gnorm, value, tried = self.setup_rows(False)
         row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
-        row_steps = _armijo(
-            objective, row_states, g, gnorm, row_values, row_aux, np.ones(len(psi))
+        row_steps = _sphere_step(
+            objective, row_states, g, row_values, row_aux, np.ones(len(psi))
         )
 
         tried[:] = 0
         block_states, block_values = psi[:, None].copy(), value.copy()
         block_aux = np.full(len(psi), np.nan)
-        block_steps = _armijo(
+        block_steps = _sphere_step(
             lambda st, rows: objective(st[:, 0], rows),
             block_states,
             g[:, None],
-            gnorm,
             block_values,
             block_aux,
             np.ones(len(psi)),
