@@ -31,10 +31,18 @@ def _born(effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("yij,...i,...j->...y", effects, psis.conj(), psis).real, 0.0)
 
 
+def _nonnegative(h: np.ndarray) -> np.ndarray:
+    """h with every entry at or below zero read as +0.0: an entropy of a point
+    mass sums to +0.0 and is negated to -0.0, and a Born probability of
+    1 + eps gives one just below zero. Entries above zero keep every bit;
+    NaN passes through."""
+    return np.maximum(h, 0.0) + 0.0
+
+
 def _entropy_bits(q: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of every row of q (..., n); entries at or below
-    _ZERO_PROB count as zeros."""
-    return -np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, 1.0)), axis=-1)
+    """Shannon entropy in bits of every row of q (..., n), never -0.0 or below
+    zero; entries at or below _ZERO_PROB count as zeros."""
+    return _nonnegative(-np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, 1.0)), axis=-1))
 
 
 class JointDistribution:
@@ -69,7 +77,9 @@ class JointDistribution:
         return float(_entropy_bits(self.probs.ravel()))
 
     def entropy_y_given_x(self) -> float:
-        return self.entropy_joint() - self.entropy_x()
+        """H(X,Y) - H(X), clamped at zero: the two sums round apart by an ulp
+        when Y is a function of X."""
+        return max(self.entropy_joint() - self.entropy_x(), 0.0)
 
 
 def shannon_entropy(dist) -> float:

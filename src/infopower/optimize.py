@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidDimension, InvalidInput
-from .infotheory import _ZERO_PROB, _born, _entropy_bits
+from .infotheory import _ZERO_PROB, _born, _entropy_bits, _nonnegative
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -318,7 +318,7 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     psis, divergence, iterations, converged = _divergence_descent(
         p.stack(), np.ones((starts, 1)), psi0
     )
-    values = -divergence
+    values = _nonnegative(-divergence)
     best = int(np.argmin(values))
     return _report(seed, values, iterations, converged, np.ones(1), psis[best][None], best)
 
@@ -476,9 +476,13 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
 
     Measures an ensemble of `samples` Haar states with the computational
     basis; the mutual information converges to
-    log2(d) - (1/ln 2) sum_{n=2}^d 1/n as the sample count grows. Samples
-    are drawn and reduced _SAMPLE_CHUNK at a time, so memory stays bounded
-    whatever the sample count.
+    log2(d) - (1/ln 2) sum_{n=2}^d 1/n as the sample count grows. Only the
+    outcome probabilities |psi_i|^2 of each state are needed, and for a Haar
+    state they are uniform on the probability simplex: d i.i.d. standard
+    exponentials divided by their sum (Wootters 1990). So each sample is
+    drawn as such a normalized exponential row, and no state is built.
+    Samples are drawn and reduced _SAMPLE_CHUNK at a time, so memory stays
+    bounded whatever the sample count.
     """
     if d < 2:
         raise InvalidDimension(f"dimension {d} < 2")
@@ -486,14 +490,13 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
         raise InvalidDimension(f"need at least d^2 = {d * d} samples")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
-    # HaarSampler's stream, real then imaginary parts of each chunk; only
-    # the squared moduli are needed, so no complex state is built
+    # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
     q_sum = np.zeros(d)
     entropy_sum = 0.0
     for done in range(0, samples, _SAMPLE_CHUNK):
         shape = (min(_SAMPLE_CHUNK, samples - done), d)
-        q = rng.normal(size=shape) ** 2 + rng.normal(size=shape) ** 2
+        q = rng.standard_exponential(size=shape)
         q /= q.sum(axis=1, keepdims=True)
         q_sum += q.sum(axis=0)
         entropy_sum += float(_entropy_bits(q).sum())

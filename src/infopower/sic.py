@@ -142,7 +142,8 @@ def is_sic(elements) -> SicCertificate:
     overlaps = np.einsum("xij,yji->xy", stacked, stacked).real
     target = lam**2 / (d + 1)
     off = overlaps[~np.eye(len(ops), dtype=bool)]
-    pair_dev = float(np.max(np.abs(off - target))) if off.size else np.inf
+    # with one element there are no pairs and the overlap condition is vacuous
+    pair_dev = float(np.max(np.abs(off - target))) if off.size else 0.0
 
     rank_dev = 0.0
     for o in ops:

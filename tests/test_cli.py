@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,3 +306,73 @@ class TestOutputContracts:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# one-element objects in dimension 1: a point mass for every entropy
+D1_FILES = {
+    "D1_POVM": {"kind": "povm", "dim": 1, "elements": [{"matrix": [[[1, 0]]]}]},
+    "D1_ENSEMBLE": {"kind": "ensemble", "dim": 1, "elements": [{"matrix": [[[1, 0]]]}]},
+    "D1_FIDUCIAL": {"kind": "fiducial", "dim": 1, "amplitudes": [[1, 0]]},
+}
+
+
+def run_d1(capsys, tmp_path, *argv):
+    """run() with the D1_* names in argv replaced by paths of those files."""
+    paths = {}
+    for name, data in D1_FILES.items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(json.dumps(data))
+    return run(capsys, *(str(paths[a]) if a in paths else a for a in argv))
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--dmax", "4", "--format", "json"],
+            ["verify-sic", "--builtin", "qutrit", "--format", "json"],
+            ["verify-sic", "D1_POVM", "--format", "json"],
+            ["mutinfo", "builtin:antitetrahedral", "builtin:tetrahedral", "--format", "json"],
+            ["mutinfo", "D1_ENSEMBLE", "D1_POVM", "--format", "json"],
+            ["power", "--builtin", "tetrahedral", "--starts", "2", "--seed", "1"],
+            ["power", "--povm", "D1_POVM", "--starts", "2"],
+            ["minent", "--builtin", "qutrit", "--starts", "2"],
+            ["minent", "--povm", "D1_POVM", "--starts", "2"],
+            ["minent", "--fiducial", "D1_FIDUCIAL", "--starts", "2"],
+            ["scrooge", "--dim", "3", "--samples", "1000", "--seed", "1"],
+        ],
+    )
+    def test_output_parses_as_strict_json(self, capsys, tmp_path, argv):
+        code, out = run_d1(capsys, tmp_path, *argv)
+        assert code == 0
+        strict_json(out)
+
+    def test_single_element_has_no_pairwise_deviation(self, capsys, tmp_path):
+        # no pairs: the overlap condition is vacuous and the d=1 set passes
+        code, out = run_d1(capsys, tmp_path, "verify-sic", "D1_POVM", "--format", "json")
+        assert code == 0
+        cert = strict_json(out)
+        assert cert["max_pairwise_deviation"] == 0.0
+        assert cert["passes"] is True
+
+    @pytest.mark.parametrize("source", [["--povm", "D1_POVM"], ["--fiducial", "D1_FIDUCIAL"]])
+    def test_minent_of_point_mass_is_positive_zero(self, capsys, tmp_path, source):
+        _, out = run_d1(capsys, tmp_path, "minent", *source, "--starts", "2")
+        value = strict_json(out)["best_value"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_mutinfo_of_point_mass_is_positive_zero(self, capsys, tmp_path):
+        _, out = run_d1(capsys, tmp_path, "mutinfo", "D1_ENSEMBLE", "D1_POVM", "--format", "json")
+        for key in ("H_X", "H_Y", "H_XY"):
+            assert math.copysign(1.0, strict_json(out)[key]) == 1.0
+        _, text = run_d1(capsys, tmp_path, "mutinfo", "D1_ENSEMBLE", "D1_POVM")
+        assert "H(X)=0.000000" in text and "-0.000000" not in text

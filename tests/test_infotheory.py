@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,10 @@ class TestShannonEntropy:
 
     def test_deterministic(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+
+    def test_point_mass_is_positive_zero(self):
+        # the sum is +0.0, and negating it must not give -0.0
+        assert math.copysign(1.0, shannon_entropy([1.0, 0.0])) == 1.0
 
     def test_mixed(self):
         # frozen from exact-arithmetic evaluation of the definition
@@ -78,6 +84,12 @@ class TestJointDistribution:
         np.testing.assert_allclose(
             joint_distribution(e, p).probs, np.eye(d) / d, atol=1e-12
         )
+
+    def test_deterministic_channel_has_no_negative_conditional_entropy(self):
+        # H(X,Y) and H(X) of these weights round 2.2e-16 apart, H(X,Y) lower
+        j = JointDistribution(np.diag([0.65, 0.25, 0.04, 0.06]))
+        assert j.entropy_y_given_x() == 0.0
+        assert math.copysign(1.0, j.entropy_y_given_x()) == 1.0
 
     def test_row_sums_are_probabilities(self):
         rng = np.random.default_rng(17)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -94,6 +95,16 @@ class TestMinOutputEntropy:
         assert r1.values_per_start == r2.values_per_start
         assert r1.iterations_per_start == r2.iterations_per_start
         np.testing.assert_array_equal(r1.best_states[0][1], r2.best_states[0][1])
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_point_mass_entropy_is_positive_zero(self, seed):
+        # a start that lands on a basis state sums to +0.0 (seed 4) or to just
+        # below zero through a Born probability of 1 + eps (seed 3)
+        p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        report = min_output_entropy(p, starts=5, seed=seed)
+        assert report.best_value == 0.0
+        assert math.copysign(1.0, report.best_value) == 1.0
+        assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in report.values_per_start)
 
     def test_report_metadata(self):
         report = min_output_entropy(sic.tetrahedral_povm(), starts=8, seed=1)
@@ -587,15 +598,22 @@ class TestScroogeEstimate:
             scrooge_lower_bound_estimate(2, 100, seed=-1)
 
     def test_chunks_match_one_pass_over_the_same_stream(self):
-        # two full chunks and a partial one, reduced in one pass for reference
+        # two full chunks and a partial one of normalized exponential rows,
+        # reduced in one pass for reference
         d, chunk = 4, optimize._SAMPLE_CHUNK
-        sampler = HaarSampler(d, seed=5)
-        psis = np.concatenate([sampler.states(n) for n in (chunk, chunk, 123)])
-        q = np.abs(psis) ** 2
+        rng = np.random.Generator(np.random.PCG64(5))
+        q = np.concatenate([rng.standard_exponential(size=(n, d)) for n in (chunk, chunk, 123)])
+        q /= q.sum(axis=1, keepdims=True)
         per_state = -np.sum(q * np.log2(q), axis=1)
         expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
-        est = scrooge_lower_bound_estimate(d, len(psis), seed=5)
+        est = scrooge_lower_bound_estimate(d, len(q), seed=5)
         assert est == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_d64_within_2e3_of_closed_form(self, seed):
+        # the exponential draws follow the Haar law of the squared moduli
+        est = scrooge_lower_bound_estimate(64, 100_000, seed=seed)
+        assert abs(est - scrooge_lower(64)) < 2e-3
 
     def test_determinism(self):
         assert scrooge_lower_bound_estimate(2, 1000, 3) == scrooge_lower_bound_estimate(
