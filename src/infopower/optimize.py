@@ -9,11 +9,12 @@ the Riemannian form). One relative-entropy descent (_divergence_descent)
 maximizes D(Born(psi) || r) over pure states. It serves both the minimal
 outcome entropy, with r = 1 since H(q) = -D(q || 1), and the see-saw's
 first-order-optimality check, with r the ensemble's outcome marginal. The
-informational-power search alternates a multiplicative prior reweighting
-with one such step on all states of each ensemble, see-saw style. A
-multi-start search runs all of its starts at once as one stack of states:
-the descent and the see-saw keep full per-start arrays and work on the
-rows listed in `live`, the starts that have not stopped.
+informational-power search alternates a fixed number of Blahut-Arimoto
+sweeps on the prior with one such step on all states of each ensemble,
+see-saw style; a stalled start with a violating state takes it and goes on,
+up to MAX_ITER. A multi-start search runs all of its starts at once as one
+stack of states: the descent and the see-saw keep full per-start arrays and
+work on the rows listed in `live`, the starts that have not stopped.
 Every routine is deterministic for a fixed seed; each start owns a private
 PRNG stream derived from (seed, start index).
 """
@@ -36,7 +37,6 @@ _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
 _REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
 _DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
-_AUGMENT_CAP = 20  # most violating states injected into one start
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
@@ -240,7 +240,7 @@ def _bb_length(s, y):
     return np.where((sy > 0) & np.isfinite(length), length, 1.0)
 
 
-def _riemannian_descent(objective, gradient, psi, trace=None):
+def _riemannian_descent(objective, gradient, psi):
     """Minimize objective over the unit sphere from every row of psi (R, d).
 
     objective(states, rows) -> (values (k,), aux (k, ...)) and
@@ -250,9 +250,7 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
     handed to the gradient so it need not compute it again. Each row takes
     its own steps (_sphere_step), first trying the Barzilai-Borwein length
     of its last move (1 on its first step), and stops on its own test.
-    Returns (states, values, iterations, converged), one entry per row. If
-    trace is a list, the values of all rows are appended to it initially and
-    after every step; a stopped row repeats its final value.
+    Returns (states, values, iterations, converged), one entry per row.
     """
     psi = np.array(psi, dtype=complex)
     live = np.arange(len(psi))
@@ -261,8 +259,6 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
     converged = np.zeros(len(psi), dtype=bool)
     # each row's previous state and tangent gradient; s = 0 gives length 1
     prev_psi, prev_g = psi.copy(), np.zeros_like(psi)
-    if trace is not None:
-        trace.append(value.copy())
     for it in range(1, MAX_ITER + 1):
         base, start_value, base_aux = psi[live], value[live], aux[live]
         g = _project_tangent(base, gradient(base, live, base_aux))
@@ -272,8 +268,6 @@ def _riemannian_descent(objective, gradient, psi, trace=None):
             lambda states, i: objective(states, live[i]), base, g, new_value, base_aux, step
         ) > 0
         psi[live], value[live], aux[live] = base, new_value, base_aux
-        if trace is not None:
-            trace.append(value.copy())
         # a flat gradient or a failed line search ends a row before this step
         iterations[live[~moved]] = it - 1
         small = moved & (start_value - new_value < CONV_TOL)
@@ -333,30 +327,21 @@ def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> np.ndarra
 
 
 def _reweight_prior(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """Multiplicative capacity-style update of every row's prior.
+    """Blahut-Arimoto update of every row's prior (Blahut 1972; Arimoto 1972).
 
-    Each sweep multiplies every weight by exp of the divergence of its
-    conditional from the current outcome marginal. A row freezes once its
-    largest change falls below CONV_TOL; all rows stop at _REWEIGHT_SWEEPS, since
-    the surrounding see-saw reinvokes this every outer iteration.
+    Each of _REWEIGHT_SWEEPS sweeps multiplies every weight by exp of the
+    divergence of its conditional from the current outcome marginal and
+    renormalizes. Every row runs every sweep, so a row's result does not
+    depend on the rows beside it; the surrounding see-saw reinvokes this
+    every outer iteration.
     """
-    w = weights.copy()
     logc = np.where(cond > _LOG_FLOOR, np.log(np.maximum(cond, _LOG_FLOOR)), 0.0)
     c_logc = np.einsum("...xy,...xy->...x", cond, logc)
-    rows, wr = np.arange(len(w)), w
+    w = weights
     for _ in range(_REWEIGHT_SWEEPS):
-        log_q = np.log(np.maximum(_outcome_marginal(wr, cond), _LOG_FLOOR))
-        kl = c_logc - (cond @ log_q[..., None])[..., 0]
-        new = wr * np.exp(kl)
-        new /= new.sum(axis=-1, keepdims=True)
-        moving = ~(np.max(np.abs(new - wr), axis=-1) < CONV_TOL)
-        wr = new
-        if not moving.all():
-            w[rows[~moving]] = new[~moving]
-            rows, wr, cond, c_logc = rows[moving], new[moving], cond[moving], c_logc[moving]
-            if not rows.size:
-                break
-    w[rows] = wr
+        log_q = np.log(np.maximum(_outcome_marginal(w, cond), _LOG_FLOOR))
+        w = w * np.exp(c_logc - (cond @ log_q[..., None])[..., 0])
+        w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
@@ -376,10 +361,11 @@ def informational_power_lower_bound(
     needs: alternate a multiplicative prior reweighting with one Riemannian
     ascent step of the mutual information, taken on all d^2 states of an
     ensemble as one block, multi-started over Haar seeds. All starts advance
-    together as one stack; a start leaves it when it converges, when it
-    stalls at a violating state with no augmentation left (not converged),
-    or at MAX_ITER. The returned best_value is the mutual information of the
-    reported ensemble, recomputed from the final states and weights.
+    together as one stack. A start that stalls is checked for first-order
+    optimality: if a pure state violates it, the state is injected and the
+    start goes on; if none is found, the start leaves the stack as
+    converged. A start still running at MAX_ITER is not converged. Every
+    start's value is the mutual information of its final states and weights.
     """
     _check_run(starts, seed)
     d = p.dim
@@ -398,7 +384,6 @@ def informational_power_lower_bound(
     weights = np.full((starts, m), 1.0 / m)
     cond = _born(effects, psis)
     values = _mutual_information_bits(weights, cond)
-    augmentations = np.zeros(starts, dtype=int)
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
     live = np.arange(starts)
@@ -420,13 +405,13 @@ def informational_power_lower_bound(
         prev_psis[live], prev_g[live] = base, g
         _sphere_step(neg_information, base, g, neg_value, c, step)
         psis[live], cond[live] = base, c
-        new_value, value = -neg_value, values[live]
-        stalled = new_value - value < CONV_TOL
-        values[live] = np.where(stalled, np.maximum(new_value, value), new_value)
-        ended = rows = live[stalled]
+        value = -neg_value
+        rows = live[value - values[live] < CONV_TOL]
+        values[live] = value
         if rows.size:
             # first-order optimality: every pure state must satisfy
-            # D(q_phi || q_bar) <= I; inject any violating state found
+            # D(q_phi || q_bar) <= I; a start with no violating state found
+            # has converged, the others take the violating state and go on
             phi, divergence = _best_divergent_state(
                 effects,
                 _outcome_marginal(weights[rows], cond[rows]),
@@ -434,21 +419,19 @@ def informational_power_lower_bound(
                 d,
             )
             violated = divergence > values[rows] + 10 * CONV_TOL
-            inject = violated & (augmentations[rows] < _AUGMENT_CAP)
             converged[rows[~violated]] = True
-            ended, inj = rows[~inject], rows[inject]
-            if inj.size:
-                augmentations[inj] += 1
-                x = np.argmin(weights[inj], axis=1)
-                psis[inj, x] = phi[inject]
-                weights[inj, x] = np.maximum(weights[inj, x], 0.05)
-                weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
-                cond[inj] = _born(effects, psis[inj])
-                values[inj] = _mutual_information_bits(weights[inj], cond[inj])
-                # the ensemble changed under the start: its next step tries 1
-                prev_psis[inj] = psis[inj]
-        iterations[ended] = outer
-        live = live[~np.isin(live, ended)]
+            inj = rows[violated]
+            x = np.argmin(weights[inj], axis=1)
+            psis[inj, x] = phi[violated]
+            weights[inj, x] = np.maximum(weights[inj, x], 0.05)
+            weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
+            cond[inj] = _born(effects, psis[inj])
+            values[inj] = _mutual_information_bits(weights[inj], cond[inj])
+            # the ensemble changed under the start: its next step tries 1
+            prev_psis[inj] = psis[inj]
+        done = converged[live]
+        iterations[live[done]] = outer
+        live = live[~done]
         if not live.size:
             break
 

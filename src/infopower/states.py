@@ -160,7 +160,7 @@ def from_json_dict(data: dict):
     try:
         kind, dim = data["kind"], data["dim"]
         elements = [_matrix_from_json(el["matrix"]) for el in data["elements"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed serialized object: {exc}") from exc
     if kind not in ("ensemble", "povm"):
         raise InvalidInput(f"unknown kind {kind!r}")
@@ -171,11 +171,12 @@ def from_json_dict(data: dict):
 
 
 def _read_json(path):
-    """Parse a UTF-8 JSON file; undecodable or malformed content is InvalidInput."""
+    """Parse a UTF-8 JSON file; undecodable or malformed content, an integer
+    too long to convert and nesting too deep to parse are InvalidInput."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidInput(f"cannot load {path}: {exc}") from exc
 
 
@@ -200,6 +201,6 @@ def load_fiducial(path) -> np.ndarray:
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         if type(dim) is not int or len(amps) != dim:
             raise InvalidInput(f"declared dim {dim!r} != amplitude count {len(amps)}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed fiducial file: {exc}") from exc
     return hilbert.check_state_vector(amps)

@@ -308,6 +308,36 @@ class TestOutputContracts:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mutinfo", "FILE", "builtin:tetrahedral"],
+            ["verify-sic", "FILE"],
+            ["power", "--povm", "FILE", "--starts", "2"],
+            ["minent", "--fiducial", "FILE", "--starts", "2"],
+        ],
+    )
+    @pytest.mark.parametrize("content", ["huge-entry", "too-many-digits", "too-deep"])
+    def test_unparsable_number_or_nesting_is_usage_error(self, capsys, tmp_path, argv, content):
+        # a 401-digit entry overflows a float, a 4301-digit one exceeds the
+        # int parsing limit, and 100 000 nested arrays exceed the recursion limit
+        entry = {"huge-entry": "1" + "0" * 400, "too-many-digits": "1" * 4301}.get(content)
+        if entry is None:
+            text = "[" * 100_000 + "]" * 100_000
+        elif argv[0] == "minent":
+            text = f'{{"kind": "fiducial", "dim": 2, "amplitudes": [[{entry}, 0], [0, 0]]}}'
+        else:
+            matrix = f"[[[{entry}, 0], [0, 0]], [[0, 0], [1, 0]]]"
+            text = f'{{"kind": "povm", "dim": 2, "elements": [{{"matrix": {matrix}}}]}}'
+        path = tmp_path / "number.json"
+        path.write_text(text)
+        code = main([str(path) if a == "FILE" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # one-element objects in dimension 1: a point mass for every entropy
 D1_FILES = {
     "D1_POVM": {"kind": "povm", "dim": 1, "elements": [{"matrix": [[[1, 0]]]}]},
