@@ -11,8 +11,11 @@ outcome entropy, with r = 1 since H(q) = -D(q || 1), and the see-saw's
 first-order-optimality check, with r the ensemble's outcome marginal. The
 informational-power search alternates a fixed number of Blahut-Arimoto
 sweeps on the prior with one such step on all states of each ensemble,
-see-saw style; a stalled start with a violating state takes it and goes on,
-up to MAX_ITER. A multi-start search runs all of its starts at once as one
+see-saw style. Every _CHECK_EVERY iterations it checks first-order
+optimality, in one call, on the starts that stalled and those with a dead
+(underflowed) weight; a checked start with a violating state takes it and
+goes on, up to MAX_ITER, and each start reports the best ensemble it
+reached. A multi-start search runs all of its starts at once as one
 stack of states: the descent and the see-saw keep full per-start arrays and
 work on the rows listed in `live`, the starts that have not stopped.
 Every routine is deterministic for a fixed seed; each start owns a private
@@ -37,6 +40,7 @@ _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
 _REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
 _DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
+_CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
@@ -361,11 +365,14 @@ def informational_power_lower_bound(
     needs: alternate a multiplicative prior reweighting with one Riemannian
     ascent step of the mutual information, taken on all d^2 states of an
     ensemble as one block, multi-started over Haar seeds. All starts advance
-    together as one stack. A start that stalls is checked for first-order
-    optimality: if a pure state violates it, the state is injected and the
-    start goes on; if none is found, the start leaves the stack as
+    together as one stack. Every _CHECK_EVERY iterations, the starts that
+    stalled on that step and those with a weight below _LOG_FLOOR (whose
+    state gets no gradient) are checked for first-order optimality, all in
+    one call: a start for which a pure state violates it takes the state
+    and goes on; a stalled start for which none is found leaves the stack as
     converged. A start still running at MAX_ITER is not converged. Every
-    start's value is the mutual information of its final states and weights.
+    start's value is the mutual information of the best ensemble it reached
+    after any step or injection, and that ensemble is the one reported.
     """
     _check_run(starts, seed)
     d = p.dim
@@ -389,6 +396,14 @@ def informational_power_lower_bound(
     live = np.arange(starts)
     # each start's previous states and tangent gradient; s = 0 gives length 1
     prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
+    # each start's best ensemble so far, the one it reports
+    best_values, best_psis, best_weights = values.copy(), psis.copy(), weights.copy()
+
+    def keep_best(rows):
+        rows = rows[values[rows] > best_values[rows]]
+        best_values[rows], best_psis[rows], best_weights[rows] = (
+            values[rows], psis[rows], weights[rows]
+        )
 
     def neg_information(states, rows):
         # the ascent of I descends -I, which accepts exactly the steps an
@@ -406,12 +421,17 @@ def informational_power_lower_bound(
         _sphere_step(neg_information, base, g, neg_value, c, step)
         psis[live], cond[live] = base, c
         value = -neg_value
-        rows = live[value - values[live] < CONV_TOL]
+        stalled = value - values[live] < CONV_TOL
         values[live] = value
-        if rows.size:
+        keep_best(live)
+        # every _CHECK_EVERY iterations, probe the stalled starts and those
+        # with a dead slot, whose state gets no gradient and creeps otherwise
+        probe = stalled | (w.min(axis=1) < _LOG_FLOOR)
+        rows, stalled = live[probe], stalled[probe]
+        if outer % _CHECK_EVERY == 0 and rows.size:
             # first-order optimality: every pure state must satisfy
-            # D(q_phi || q_bar) <= I; a start with no violating state found
-            # has converged, the others take the violating state and go on
+            # D(q_phi || q_bar) <= I; a stalled start with no violating state
+            # found has converged, a probed start with one takes it and goes on
             phi, divergence = _best_divergent_state(
                 effects,
                 _outcome_marginal(weights[rows], cond[rows]),
@@ -419,7 +439,7 @@ def informational_power_lower_bound(
                 d,
             )
             violated = divergence > values[rows] + 10 * CONV_TOL
-            converged[rows[~violated]] = True
+            converged[rows[~violated & stalled]] = True
             inj = rows[violated]
             x = np.argmin(weights[inj], axis=1)
             psis[inj, x] = phi[violated]
@@ -427,6 +447,7 @@ def informational_power_lower_bound(
             weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
             cond[inj] = _born(effects, psis[inj])
             values[inj] = _mutual_information_bits(weights[inj], cond[inj])
+            keep_best(inj)
             # the ensemble changed under the start: its next step tries 1
             prev_psis[inj] = psis[inj]
         done = converged[live]
@@ -435,8 +456,10 @@ def informational_power_lower_bound(
         if not live.size:
             break
 
-    best = int(np.argmax(values))
-    return _report(seed, values, iterations, converged, weights[best], psis[best], best)
+    best = int(np.argmax(best_values))
+    return _report(
+        seed, best_values, iterations, converged, best_weights[best], best_psis[best], best
+    )
 
 
 def _best_divergent_state(effects, q_bar, rngs, dim):

@@ -17,6 +17,8 @@ from infopower.optimize import (
     _ARMIJO_BATCH,
     _ARMIJO_C,
     _ARMIJO_SHRINK,
+    _CHECK_EVERY,
+    _LOG_FLOOR,
     _MIN_STEP,
     CONV_TOL,
     GRAD_TOL,
@@ -37,7 +39,7 @@ from infopower.optimize import (
     scrooge_lower_bound_estimate,
     uniform_povm_approximant,
 )
-from infopower.states import Ensemble, Povm
+from infopower.states import Ensemble, Povm, load_fiducial
 
 
 class TestHaarSampler:
@@ -213,6 +215,120 @@ class TestInformationalPower:
         for povm, d, starts in ((sic.tetrahedral_povm(), 2, 20), (sic.qutrit_sic_povm(), 3, 8)):
             report = informational_power_lower_bound(povm, starts=starts, seed=4)
             assert scrooge_lower(d) - 1e-9 <= report.best_value <= sic_upper(d) + 1e-9
+
+    def test_d4_sic_within_1e5_of_exact(self, d4_fiducial_path):
+        # the exact value is 4 - H_min of the d = 4 WH SIC
+        povm = sic.wh_covariant_povm(load_fiducial(d4_fiducial_path))
+        report = informational_power_lower_bound(povm, starts=12, seed=7)
+        assert abs(report.best_value - 0.5670677) <= 1e-5
+
+    @pytest.mark.parametrize("seed", range(2001, 2011))
+    def test_reports_the_best_ensemble_it_reached(self, seed, monkeypatch):
+        # a start that takes a violating state late can end below an earlier
+        # step; it reports the best ensemble after any step, whose value is I
+        reached = []
+
+        def recording(objective, psi, g, value, aux, step):
+            accepted = _sphere_step(objective, psi, g, value, aux, step)
+            if psi.ndim == 3:  # an ensemble block, whose value is -I
+                reached.append(-value[0])
+            return accepted
+
+        monkeypatch.setattr(optimize, "_sphere_step", recording)
+        p = sic.qutrit_sic_povm()
+        report = informational_power_lower_bound(p, starts=1, seed=seed)
+        assert report.best_value >= max(reached)
+        ensemble = Ensemble([w * np.outer(v, v.conj()) for w, v in report.best_states if w > 0])
+        assert mutual_information(joint_distribution(ensemble, p)) == pytest.approx(
+            report.best_value, abs=1e-9
+        )
+
+
+class TestFirstOrderSchedule:
+    """The see-saw checks first-order optimality every _CHECK_EVERY outer
+    iterations, in one call, on every live start that stalled on that step or
+    has a weight below _LOG_FLOOR; only a stalled start with no violating
+    state found converges."""
+
+    @staticmethod
+    def trace(monkeypatch, povm, starts, seed):
+        """Run the see-saw and return its report, each start's post-step value
+        (iteration, start) and dead-slot flag, and every check as (iteration,
+        probed starts). A start is live at iteration t while its iteration
+        count is at least t, so the rows of the step at t are those starts."""
+        steps, dead, checks, rngs = [], [], [], []
+        start_rngs, reweight = optimize._start_rngs, optimize._reweight_prior
+        check = optimize._best_divergent_state
+
+        def recording_rngs(seed, starts):
+            rngs.extend(start_rngs(seed, starts))
+            return rngs
+
+        def recording_reweight(weights, cond):
+            w = reweight(weights, cond)
+            dead.append(w.min(axis=1) < _LOG_FLOOR)
+            return w
+
+        def recording_step(objective, psi, g, value, aux, step):
+            accepted = _sphere_step(objective, psi, g, value, aux, step)
+            if psi.ndim == 3:  # an ensemble block, whose value is -I
+                steps.append(-value)
+            return accepted
+
+        def recording_check(effects, q_bar, row_rngs, dim):
+            probed = [next(i for i, r in enumerate(rngs) if r is rng) for rng in row_rngs]
+            checks.append((len(steps), probed))
+            return check(effects, q_bar, row_rngs, dim)
+
+        monkeypatch.setattr(optimize, "_start_rngs", recording_rngs)
+        monkeypatch.setattr(optimize, "_reweight_prior", recording_reweight)
+        monkeypatch.setattr(optimize, "_sphere_step", recording_step)
+        monkeypatch.setattr(optimize, "_best_divergent_state", recording_check)
+        report = informational_power_lower_bound(povm, starts=starts, seed=seed)
+        iterations = np.array(report.iterations_per_start)
+        values = np.full((len(steps) + 1, starts), np.nan)
+        dead_slot = np.zeros((len(steps) + 1, starts), dtype=bool)
+        for t, (v, z) in enumerate(zip(steps, dead), start=1):
+            live = np.flatnonzero(iterations >= t)
+            values[t, live], dead_slot[t, live] = v, z
+        return report, values, dead_slot, checks
+
+    CALLS = [(sic.tetrahedral_povm, 6, 9), (sic.qutrit_sic_povm, 6, 7)]
+
+    @pytest.mark.parametrize("povm, starts, seed", CALLS)
+    def test_one_call_per_scheduled_iteration_on_stalled_and_dead_slot_starts(
+        self, monkeypatch, povm, starts, seed
+    ):
+        _, values, dead, checks = self.trace(monkeypatch, povm(), starts, seed)
+        expected = []
+        # an injection happens only on a scheduled iteration, so the value
+        # before a scheduled step is the previous step's
+        for t in range(_CHECK_EVERY, len(values), _CHECK_EVERY):
+            stalled = values[t] - values[t - 1] < CONV_TOL
+            rows = np.flatnonzero(~np.isnan(values[t]) & (stalled | dead[t])).tolist()
+            if rows:
+                expected.append((t, rows))
+        assert expected
+        assert checks == expected
+
+    def test_dead_slot_start_is_probed_before_it_stalls(self, monkeypatch):
+        _, values, dead, checks = self.trace(monkeypatch, sic.qutrit_sic_povm(), 6, 7)
+        moving = [
+            (t, s) for t, rows in checks for s in rows if values[t, s] - values[t - 1, s] >= CONV_TOL
+        ]
+        assert moving
+        assert all(dead[t, s] for t, s in moving)
+
+    @pytest.mark.parametrize("povm, starts, seed", CALLS)
+    def test_converged_starts_stalled_at_their_last_check(self, monkeypatch, povm, starts, seed):
+        report, values, _, checks = self.trace(monkeypatch, povm(), starts, seed)
+        probed = dict(checks)
+        converged = [s for s, n in enumerate(report.iterations_per_start) if n < MAX_ITER]
+        assert len(converged) == report.converged_starts > 0
+        for s in converged:
+            n = report.iterations_per_start[s]
+            assert s in probed[n]
+            assert values[n, s] - values[n - 1, s] < CONV_TOL
 
 
 class TestGradient:
@@ -558,21 +674,22 @@ class TestBatchedStarts:
     # from the sphere step that first tries the Barzilai-Borwein length of
     # each row's (each ensemble's) last move; the see-saw entries are those
     # of the block see-saw, which ascends all states of an ensemble in one step
+    # and checks first-order optimality every _CHECK_EVERY iterations
     SERIAL = {
         "power-tetrahedral": (
             [
-                0.41503749927868383,
-                0.4150374992786843,
-                0.4150374992786844,
-                0.4150374992788092,
-                0.41503749927858824,
-                0.4150374992785879,
+                0.4150374992788436,
+                0.41503749927884365,
+                0.41503749927884365,
+                0.4150374992788439,
+                0.3933819283340958,
+                0.41503749927884354,
             ],
-            [28, 33, 20, 31, 52, 58],
+            [30, 40, 25, 25, 20, 25],
         ),
         "power-qutrit": (
-            [0.5849625007192665, 0.584962500720298, 0.5849625007078354, 0.5015717890239234],
-            [77, 25, 16, 200],
+            [0.584962500721156, 0.5849625007211562, 0.5849625007211557, 0.5849625007211561],
+            [20, 20, 20, 40],
         ),
         "minent-qutrit": (
             [
