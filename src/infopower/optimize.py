@@ -43,7 +43,7 @@ _DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
 _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
-_SAMPLE_CHUNK = 8192  # Haar samples drawn and reduced at once
+_CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk: 1 MiB of float64
 
 RNG_ALGORITHM = "pcg64"
 
@@ -487,8 +487,10 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     state they are uniform on the probability simplex: d i.i.d. standard
     exponentials divided by their sum (Wootters 1990). So each sample is
     drawn as such a normalized exponential row, and no state is built.
-    Samples are drawn and reduced _SAMPLE_CHUNK at a time, so memory stays
-    bounded whatever the sample count.
+    Samples are drawn and reduced max(1, _CHUNK_ENTRIES // d) rows at a time
+    in two buffers allocated once, so memory stays at two cache-sized buffers
+    (two rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and
+    the dimension.
     """
     if d < 2:
         raise InvalidDimension(f"dimension {d} < 2")
@@ -498,14 +500,20 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
     # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
+    rows = min(max(1, _CHUNK_ENTRIES // d), samples)
+    e_buf, log_buf = np.empty((rows, d)), np.empty((rows, d))
     q_sum = np.zeros(d)
     entropy_sum = 0.0
-    for done in range(0, samples, _SAMPLE_CHUNK):
-        shape = (min(_SAMPLE_CHUNK, samples - done), d)
-        q = rng.standard_exponential(size=shape)
-        q /= q.sum(axis=1, keepdims=True)
-        q_sum += q.sum(axis=0)
-        entropy_sum += float(_entropy_bits(q).sum())
+    for done in range(0, samples, rows):
+        n = min(rows, samples - done)
+        e, log_e = e_buf[:n], log_buf[:n]
+        rng.standard_exponential(out=e)
+        t = e.sum(axis=1)
+        # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
+        # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
+        np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
+        q_sum += (1.0 / t) @ e
+        entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))
     value = float(_entropy_bits(q_sum / samples)) - entropy_sum / samples
     return max(value, 0.0)
 

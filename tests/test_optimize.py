@@ -759,13 +759,51 @@ class TestScroogeEstimate:
     def test_chunks_match_one_pass_over_the_same_stream(self):
         # two full chunks and a partial one of normalized exponential rows,
         # reduced in one pass for reference
-        d, chunk = 4, optimize._SAMPLE_CHUNK
+        d = 4
+        chunk = optimize._CHUNK_ENTRIES // d
         rng = np.random.Generator(np.random.PCG64(5))
         q = np.concatenate([rng.standard_exponential(size=(n, d)) for n in (chunk, chunk, 123)])
         q /= q.sum(axis=1, keepdims=True)
         per_state = -np.sum(q * np.log2(q), axis=1)
         expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
         est = scrooge_lower_bound_estimate(d, len(q), seed=5)
+        assert est == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("d, samples", [(16, 1001), (100, 10_001)])
+    def test_entries_budget_sets_rows_per_chunk(self, monkeypatch, d, samples):
+        # 64 draws per chunk: 4 rows at d = 16, and one row at d = 100,
+        # where the budget is smaller than a row
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
+        rng = np.random.Generator(np.random.PCG64(3))
+        q = rng.standard_exponential(size=(samples, d))
+        q /= q.sum(axis=1, keepdims=True)
+        expected = infotheory._entropy_bits(q.mean(axis=0)) - infotheory._entropy_bits(q).mean()
+        est = scrooge_lower_bound_estimate(d, samples, seed=3)
+        assert est == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_draws_count_as_zero_log_zero(self, monkeypatch):
+        # exact zeros among the draws (about one in 5.5 here) must follow
+        # 0 log 0 = 0; a bare log2 of a zero would raise a RuntimeWarning
+        real = np.random.Generator
+
+        class ZeroingGenerator:
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+
+            def standard_exponential(self, size=None, out=None):
+                e = self._rng.standard_exponential(size=size, out=out)
+                e[e < 0.2] = 0.0
+                return e
+
+        monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
+        d, samples = 8, 3000
+        e = ZeroingGenerator(np.random.PCG64(4)).standard_exponential(size=(samples, d))
+        assert np.all(e.sum(axis=1) > 0) and np.mean(e == 0.0) > 0.1
+        q = e / e.sum(axis=1, keepdims=True)
+        per_state = -np.sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0), axis=1)
+        expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
+        est = scrooge_lower_bound_estimate(d, samples, seed=4)
+        assert np.isfinite(est)
         assert est == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
