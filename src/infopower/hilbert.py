@@ -26,18 +26,14 @@ def _check_finite(a: np.ndarray, err) -> np.ndarray:
     return a
 
 
-def as_operator(matrix) -> np.ndarray:
-    """Coerce to a finite square complex array, raising InvalidOperator otherwise."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidOperator(f"expected a square matrix, got shape {a.shape}")
-    return _check_finite(a, InvalidOperator)
-
-
 def check_hermitian(matrix) -> np.ndarray:
-    """Return the matrix as an array, raising InvalidOperator if not Hermitian."""
-    a = as_operator(matrix)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    """Return one matrix or a stack (..., d, d) as a finite complex array,
+    raising InvalidOperator if it is not square and Hermitian."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidOperator(f"expected a square matrix, got shape {a.shape}")
+    _check_finite(a, InvalidOperator)
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
     if not dev <= HERM_TOL:
         raise InvalidOperator(f"matrix deviates from Hermitian by {dev:.3e}")
     return a
@@ -76,6 +72,8 @@ def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     normalized eigenvector entries.
     """
     a = check_hermitian(op)
+    if a.ndim != 2:
+        raise InvalidOperator(f"expected one square matrix, got shape {a.shape}")
     vals, vecs = np.linalg.eigh(a)
     vals, vecs = vals[::-1], _fix_phases(vecs[:, ::-1])
     # stable lexicographic tie-break inside degenerate eigenvalue groups

@@ -15,7 +15,7 @@ import numpy as np
 from . import hilbert
 from .errors import DimMismatch, InvalidDimension, InvalidDistribution
 from .hilbert import PSD_TOL, _check_finite
-from .states import SUM_TOL, Ensemble, Povm
+from .states import SUM_TOL, Ensemble, Povm, _check_density
 
 _ZERO_PROB = 1e-15
 
@@ -45,21 +45,28 @@ def _entropy_bits(q: np.ndarray) -> np.ndarray:
     return _nonnegative(-np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, 1.0)), axis=-1))
 
 
+def _check_distribution(probs, ndim: int) -> np.ndarray:
+    """probs as a nonempty float array with ndim axes, finite, nonnegative up
+    to PSD_TOL (clipped to zero) and summing to one; InvalidDistribution
+    otherwise."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != ndim or not p.size:
+        raise InvalidDistribution(f"expected a nonempty {ndim}-d array, got shape {p.shape}")
+    _check_finite(p, InvalidDistribution)
+    if not np.min(p) >= -PSD_TOL:
+        raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum()
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise InvalidDistribution(f"probabilities sum to {total}, not 1")
+    return p
+
+
 class JointDistribution:
     """|X| x |Y| matrix of joint probabilities summing to one."""
 
     def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 2:
-            raise InvalidDistribution(f"expected a matrix, got shape {probs.shape}")
-        _check_finite(probs, InvalidDistribution)
-        if not np.min(probs) >= -PSD_TOL:
-            raise InvalidDistribution(f"negative probability {np.min(probs):.3e}")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise InvalidDistribution(f"probabilities sum to {total}, not 1")
-        self.probs = probs
+        self.probs = _check_distribution(probs, 2)
 
     def marginal_x(self) -> np.ndarray:
         return self.probs.sum(axis=1)
@@ -84,22 +91,14 @@ class JointDistribution:
 
 def shannon_entropy(dist) -> float:
     """Entropy in bits of a probability vector."""
-    p = np.asarray(dist, dtype=float)
-    if p.ndim != 1:
-        raise InvalidDistribution(f"expected a vector, got shape {p.shape}")
-    _check_finite(p, InvalidDistribution)
-    if not np.min(p) >= -PSD_TOL:
-        raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
-    if not abs(p.sum() - 1.0) <= SUM_TOL:
-        raise InvalidDistribution(f"probabilities sum to {p.sum()}, not 1")
-    return float(_entropy_bits(p))
+    return float(_entropy_bits(_check_distribution(dist, 1)))
 
 
 def joint_distribution(e: Ensemble, p: Povm) -> JointDistribution:
     """Born-rule joint distribution probs[x][y] = Tr[rho_x Pi_y]."""
     if e.dim != p.dim:
         raise DimMismatch(f"ensemble dim {e.dim} != POVM dim {p.dim}")
-    probs = np.einsum("xij,yji->xy", e.stack(), p.stack()).real
+    probs = np.einsum("xij,yji->xy", e.states, p.effects).real
     return JointDistribution(probs)
 
 
@@ -114,7 +113,7 @@ def outcome_distribution(p: Povm, psi) -> np.ndarray:
     psi = hilbert.check_state_vector(psi)
     if len(psi) != p.dim:
         raise DimMismatch(f"state dim {len(psi)} != POVM dim {p.dim}")
-    return _born(p.stack(), psi)
+    return _born(p.effects, psi)
 
 
 def conditional_output_entropy(p: Povm, psi) -> float:
@@ -124,10 +123,7 @@ def conditional_output_entropy(p: Povm, psi) -> float:
 
 def index_of_coincidence(p: Povm, rho) -> float:
     """Collision probability sum_y Tr[rho Pi_y]^2 of the outcome distribution."""
-    rho = hilbert.check_hermitian(rho)
-    if rho.shape[0] != p.dim:
-        raise DimMismatch(f"state dim {rho.shape[0]} != POVM dim {p.dim}")
-    q = np.einsum("yij,ji->y", p.stack(), rho).real
+    q = np.einsum("yij,ji->y", p.effects, _check_density(rho, p.dim)).real
     return float(np.sum(q**2))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidDimension, InvalidInput
-from .infotheory import _ZERO_PROB, _born, _entropy_bits, _nonnegative
+from .infotheory import _ZERO_PROB, _born, _entropy_bits, _nonnegative, outcome_distribution
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -54,6 +54,7 @@ class HaarSampler:
     def __init__(self, dim: int, seed: int):
         if dim < 1:
             raise InvalidDimension(f"dimension {dim} < 1")
+        _check_seed(seed)
         self.dim = dim
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
@@ -115,11 +116,15 @@ def _start_rngs(seed: int, starts: int):
     ]
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+
+
 def _check_run(starts: int, seed: int) -> None:
     if starts < 1:
         raise InvalidInput("starts must be >= 1")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
 
 
 def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
@@ -180,11 +185,11 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
 
 def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     """Riemannian gradient of the outcome entropy at a pure state."""
-    psi = hilbert.check_state_vector(psi)
-    effects = p.stack()
+    q = outcome_distribution(p, psi)  # checks the state and its dimension
+    psi = np.asarray(psi, dtype=complex)
     # the entropy is -D(q || 1)
-    coef = -(_log_ratio(_born(effects, psi), 1.0) + 1.0 / np.log(2))
-    return _project_tangent(psi, _effect_gradient(coef, effects, psi))
+    coef = -(_log_ratio(q, 1.0) + 1.0 / np.log(2))
+    return _project_tangent(psi, _effect_gradient(coef, p.effects, psi))
 
 
 def _sphere_step(objective, psi, g, value, aux, step):
@@ -314,7 +319,7 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     _check_run(starts, seed)
     psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in _start_rngs(seed, starts)])
     psis, divergence, iterations, converged = _divergence_descent(
-        p.stack(), np.ones((starts, 1)), psi0
+        p.effects, np.ones((starts, 1)), psi0
     )
     values = _nonnegative(-divergence)
     best = int(np.argmin(values))
@@ -350,10 +355,9 @@ def _reweight_prior(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
 
 
 def _is_trivial_povm(p: Povm) -> bool:
-    return all(
-        np.max(np.abs(eff - np.trace(eff).real / p.dim * np.eye(p.dim))) < 1e-12
-        for eff in p.effects
-    )
+    """Whether every effect is proportional to the identity."""
+    scaled = np.einsum("yii->y", p.effects).real[:, None, None] / p.dim * np.eye(p.dim)
+    return bool(np.max(np.abs(p.effects - scaled)) < 1e-12)
 
 
 def informational_power_lower_bound(
@@ -377,7 +381,7 @@ def informational_power_lower_bound(
     _check_run(starts, seed)
     d = p.dim
     m = d * d
-    effects = p.stack()
+    effects = p.effects
 
     if _is_trivial_povm(p):
         # every effect proportional to the identity: no state carries information
@@ -496,8 +500,7 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
         raise InvalidDimension(f"dimension {d} < 2")
     if samples < d * d:
         raise InvalidDimension(f"need at least d^2 = {d * d} samples")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, _CHUNK_ENTRIES // d), samples)
@@ -531,4 +534,4 @@ def uniform_povm_approximant(d: int, n: int, seed: int = 0) -> Povm:
     s = psis.T @ psis.conj()
     balance = hilbert.op_inv_sqrt(s)
     rotated = psis @ balance.T
-    return Povm([np.outer(v, v.conj()) for v in rotated])
+    return Povm(rotated[:, :, None] * rotated[:, None, :].conj())

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidInput, NotSic
-from .states import Ensemble, Povm
+from .states import Ensemble, Povm, _hermitian_stack
 
 SIC_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -94,12 +94,12 @@ def wh_covariant_povm(fiducial) -> Povm:
     f = hilbert.check_state_vector(fiducial)
     d = len(f)
     shift, clock = clock_shift(d)
-    effects = []
-    for j in range(d):
-        for k in range(d):
-            disp = np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
-            effects.append(hilbert.outer(disp @ f) / d)
-    return Povm(effects)
+    kets = np.array([
+        np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k) @ f
+        for j in range(d)
+        for k in range(d)
+    ])
+    return Povm(kets[:, :, None] * kets[:, None, :].conj() / d)
 
 
 @dataclass(frozen=True)
@@ -120,47 +120,38 @@ class SicCertificate:
 
 
 def is_sic(elements) -> SicCertificate:
-    """Certify whether a list of Hermitian operators is a SIC set.
+    """Certify whether Hermitian operators, a list or an (n, d, d) array, are a SIC set.
 
     Reports the common trace lambda (mean of the element traces), the worst
     trace deviation, the worst deviation of the pairwise overlaps from
     lambda^2/(d+1), the worst second eigenvalue (rank-one check), and the
     Frobenius deviation of the element sum from d*lambda*identity.
     """
-    if not len(elements):
-        raise InvalidInput("empty operator list")
-    ops = [hilbert.check_hermitian(x) for x in elements]
-    d = ops[0].shape[0]
-    if any(o.shape[0] != d for o in ops):
-        raise InvalidInput("elements have mixed dimensions")
-
-    stacked = np.stack(ops)
-    traces = np.einsum("xii->x", stacked).real
+    ops = _hermitian_stack(elements, InvalidInput)
+    n, d = len(ops), ops.shape[-1]
+    traces = np.einsum("xii->x", ops).real
     lam = float(np.mean(traces))
     trace_dev = float(np.max(np.abs(traces - lam)))
 
-    overlaps = np.einsum("xij,yji->xy", stacked, stacked).real
+    overlaps = np.einsum("xij,yji->xy", ops, ops).real
     target = lam**2 / (d + 1)
-    off = overlaps[~np.eye(len(ops), dtype=bool)]
+    off = overlaps[~np.eye(n, dtype=bool)]
     # with one element there are no pairs and the overlap condition is vacuous
     pair_dev = float(np.max(np.abs(off - target))) if off.size else 0.0
+    # every eigenvalue but the largest of each element is zero for rank one
+    rank_dev = float(np.max(np.abs(np.linalg.eigvalsh(ops)[:, :-1]))) if d > 1 else 0.0
 
-    rank_dev = 0.0
-    for o in ops:
-        evs = np.sort(np.linalg.eigvalsh(o))
-        rank_dev = max(rank_dev, float(np.max(np.abs(evs[:-1]))) if d > 1 else 0.0)
-
-    avg_dev = float(np.linalg.norm(stacked.sum(axis=0) - d * lam * np.eye(d)))
+    avg_dev = float(np.linalg.norm(ops.sum(axis=0) - d * lam * np.eye(d)))
 
     passes = (
-        len(ops) == d * d
+        n == d * d
         and trace_dev <= SIC_TOL
         and pair_dev <= SIC_TOL
         and rank_dev <= RANK_TOL
     )
     return SicCertificate(
         dim=d,
-        element_count=len(ops),
+        element_count=n,
         lam=lam,
         max_trace_deviation=trace_dev,
         max_pairwise_deviation=pair_dev,
@@ -174,11 +165,11 @@ def sic_ensemble_from_povm(p: Povm) -> Ensemble:
     """Renormalize a SIC POVM into the corresponding SIC ensemble (scale 1/d)."""
     if not is_sic(p.effects).passes:
         raise NotSic("input POVM does not pass the SIC certificate")
-    return Ensemble([eff / p.dim for eff in p.effects])
+    return Ensemble(p.effects / p.dim)
 
 
 def sic_povm_from_ensemble(e: Ensemble) -> Povm:
     """Renormalize a SIC ensemble into the corresponding SIC POVM (scale d)."""
     if not is_sic(e.states).passes:
         raise NotSic("input ensemble does not pass the SIC certificate")
-    return Povm([s * e.dim for s in e.states])
+    return Povm(e.states * e.dim)

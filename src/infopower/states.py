@@ -2,7 +2,9 @@
 and the JSON file schema shared with the CLI.
 
 An ensemble stores sub-normalized states (each trace is the preparation
-probability), so the pretty-good maps are single sandwich products.
+probability), so the pretty-good maps are single sandwich products. Both
+classes hold their elements as one validated, read-only (n, d, d) complex
+array, and every map acts on that array as a whole.
 Zero-trace elements are permitted; they contribute nothing to any entropy.
 Nothing here knows about SIC sets: their renormalizations live in sic.
 """
@@ -12,74 +14,87 @@ import json
 import numpy as np
 
 from . import hilbert
-from .errors import DimMismatch, InvalidEnsemble, InvalidInput, InvalidPovm, InvalidState
+from .errors import (
+    DimMismatch, InvalidEnsemble, InvalidInput, InvalidOperator, InvalidPovm, InvalidState
+)
 from .hilbert import KERNEL_TOL, PSD_TOL
 
 SUM_TOL = 1e-9
 
 
-def _check_elements(elements, err):
-    if not elements:
+def _hermitian_stack(elements, err) -> np.ndarray:
+    """The elements, a list or an (n, d, d) array, as a new Hermitian complex
+    (n, d, d) array: err if there are none or their shapes differ,
+    InvalidOperator if they are not square matrices of finite numbers."""
+    try:
+        ops = np.array(elements)
+    except ValueError as exc:
+        raise err("elements have mixed dimensions") from exc
+    if ops.shape[:1] == (0,):
         raise err("element list is empty")
-    ops = [hilbert.check_hermitian(x) for x in elements]
-    dim = ops[0].shape[0]
-    if any(o.shape[0] != dim for o in ops):
-        raise err("elements have mixed dimensions")
-    for o in ops:
-        evs = np.linalg.eigvalsh(o)
-        if evs.size and not evs[0] >= -PSD_TOL:
-            raise err(f"element has negative eigenvalue {evs[0]:.3e}")
-    return dim, ops
+    if ops.ndim != 3 or not ops.shape[-1]:
+        raise InvalidOperator(f"expected a list of square matrices, got shape {ops.shape}")
+    try:
+        ops = ops.astype(complex, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidOperator(f"entry is not a number: {exc}") from exc
+    return hilbert.check_hermitian(ops)
+
+
+def _check_elements(elements, err) -> np.ndarray:
+    """The elements as a read-only positive (n, d, d) array, a copy that does
+    not alias the caller's arrays."""
+    ops = _hermitian_stack(elements, err)
+    low = np.linalg.eigvalsh(ops)[:, 0].min()
+    if not low >= -PSD_TOL:
+        raise err(f"element has negative eigenvalue {low:.3e}")
+    ops.flags.writeable = False
+    return ops
 
 
 class Ensemble:
-    """Finite list of positive operators whose traces sum to one."""
+    """Positive operators (n, d, d), read-only, whose traces sum to one."""
 
     def __init__(self, states):
-        dim, ops = _check_elements(states, InvalidEnsemble)
-        total = sum(np.trace(o).real for o in ops)
+        self.states = _check_elements(states, InvalidEnsemble)
+        self.dim = self.states.shape[-1]
+        total = self.probabilities().sum()
         if not abs(total - 1.0) <= SUM_TOL:
             raise InvalidEnsemble(f"traces sum to {total}, not 1")
-        self.dim = dim
-        self.states = ops
 
     def __len__(self):
         return len(self.states)
 
     def probabilities(self) -> np.ndarray:
         """Preparation probabilities Tr[rho_x]."""
-        return np.array([np.trace(s).real for s in self.states])
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.states)
+        return np.trace(self.states, axis1=1, axis2=2).real
 
 
 class Povm:
-    """Finite list of positive effects summing to the identity."""
+    """Positive effects (n, d, d), read-only, summing to the identity."""
 
     def __init__(self, effects):
-        dim, ops = _check_elements(effects, InvalidPovm)
-        total = sum(ops)
-        dev = np.max(np.abs(total - np.eye(dim)))
+        self.effects = _check_elements(effects, InvalidPovm)
+        self.dim = self.effects.shape[-1]
+        dev = np.max(np.abs(self.effects.sum(axis=0) - np.eye(self.dim)))
         if not dev <= SUM_TOL:
             raise InvalidPovm(f"effects sum deviates from identity by {dev:.3e}")
-        self.dim = dim
-        self.effects = ops
 
     def __len__(self):
         return len(self.effects)
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.effects)
-
 
 def average_state(e: Ensemble) -> np.ndarray:
     """Average state: the sum of the (sub-normalized) ensemble members."""
-    return sum(e.states)
+    return e.states.sum(axis=0)
 
 
-def _check_density(rho) -> np.ndarray:
+def _check_density(rho, dim: int) -> np.ndarray:
+    """rho as an array: DimMismatch unless it is d x d with d = dim,
+    InvalidState unless it is positive with unit trace."""
     rho = hilbert.check_hermitian(rho)
+    if rho.shape != (dim, dim):
+        raise DimMismatch(f"state shape {rho.shape} != POVM dim {dim}")
     evs = np.linalg.eigvalsh(rho)
     if not evs[0] >= -PSD_TOL:
         raise InvalidState(f"state has negative eigenvalue {evs[0]:.3e}")
@@ -96,11 +111,8 @@ def restrict_to_support(p: Povm, rho) -> Povm:
     identity of the subspace and Born probabilities against any state
     supported there are unchanged.
     """
-    rho = _check_density(rho)
-    if rho.shape[0] != p.dim:
-        raise DimMismatch(f"state dim {rho.shape[0]} != POVM dim {p.dim}")
-    basis = hilbert.support_basis(rho)
-    return Povm([basis.conj().T @ eff @ basis for eff in p.effects])
+    basis = hilbert.support_basis(_check_density(rho, p.dim))
+    return Povm(basis.conj().T @ p.effects @ basis)
 
 
 def pretty_good_povm(e: Ensemble) -> Povm:
@@ -113,19 +125,15 @@ def pretty_good_povm(e: Ensemble) -> Povm:
     inv_sqrt = hilbert.op_inv_sqrt(rho)
     rank = int(np.sum(np.linalg.eigvalsh(rho) > KERNEL_TOL))
     if rank == e.dim:
-        return Povm([inv_sqrt @ s @ inv_sqrt for s in e.states])
-    basis = hilbert.support_basis(rho)
-    compress = basis.conj().T @ inv_sqrt
-    return Povm([compress @ s @ compress.conj().T for s in e.states])
+        return Povm(inv_sqrt @ e.states @ inv_sqrt)
+    compress = hilbert.support_basis(rho).conj().T @ inv_sqrt
+    return Povm(compress @ e.states @ compress.conj().T)
 
 
 def pretty_good_ensemble(p: Povm, rho) -> Ensemble:
     """States rho^{1/2} Pi_y rho^{1/2}; the output averages back to rho."""
-    rho = _check_density(rho)
-    if rho.shape[0] != p.dim:
-        raise DimMismatch(f"state dim {rho.shape[0]} != POVM dim {p.dim}")
-    sq = hilbert.op_sqrt(rho)
-    return Ensemble([sq @ eff @ sq for eff in p.effects])
+    sq = hilbert.op_sqrt(_check_density(rho, p.dim))
+    return Ensemble(sq @ p.effects @ sq)
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,18 @@ def test_support_basis_spans_support():
     np.testing.assert_allclose(
         basis @ basis.conj().T, np.diag([1.0, 1.0, 0.0]), atol=1e-12
     )
+
+
+def test_check_hermitian_takes_a_stack():
+    stack = np.stack([PAULI_X, np.eye(2, dtype=complex)])
+    np.testing.assert_array_equal(hilbert.check_hermitian(stack), stack)
+    skewed = stack.copy()
+    skewed[1, 0, 1] = 1.0
+    with pytest.raises(InvalidOperator, match="Hermitian"):
+        hilbert.check_hermitian(skewed)
+    for bad in (np.ones(2), np.ones((2, 2, 3))):
+        with pytest.raises(InvalidOperator, match="square"):
+            hilbert.check_hermitian(bad)
+    # the spectral calculus takes one matrix only
+    with pytest.raises(InvalidOperator):
+        eigh(stack)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from infopower import infotheory, sic, states
-from infopower.errors import DimMismatch, InvalidDimension, InvalidDistribution
+from infopower.errors import DimMismatch, InvalidDimension, InvalidDistribution, InvalidState
 from infopower.infotheory import (
     JointDistribution,
     bounds_for_dimension,
@@ -52,6 +52,13 @@ class TestShannonEntropy:
         with pytest.raises(InvalidDistribution):
             shannon_entropy([0.5, 0.4])
 
+    def test_rejects_empty_and_misshaped_input(self):
+        for bad in ([], [[0.5, 0.5]]):
+            with pytest.raises(InvalidDistribution):
+                shannon_entropy(bad)
+        for bad in (np.zeros((0, 2)), [0.5, 0.5]):
+            with pytest.raises(InvalidDistribution):
+                JointDistribution(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -211,6 +218,15 @@ class TestIndexOfCoincidence:
     def test_basis_state(self):
         p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         assert index_of_coincidence(p, np.diag([1.0, 0.0])) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rho", [np.diag([2.0, -1.0]), np.diag([3.0, 0.0])])
+    def test_rejects_operators_that_are_not_states(self, rho):
+        with pytest.raises(InvalidState):
+            index_of_coincidence(sic.tetrahedral_povm(), rho)
+
+    def test_rejects_a_state_of_another_dimension(self):
+        with pytest.raises(DimMismatch):
+            index_of_coincidence(sic.tetrahedral_povm(), np.eye(3) / 3)
 
 
 class TestBounds:

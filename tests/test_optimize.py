@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from infopower import infotheory, optimize, sic
-from infopower.errors import InvalidDimension, InvalidInput
+from infopower.errors import DimMismatch, InvalidDimension, InvalidInput
 from infopower.infotheory import (
     conditional_output_entropy,
     joint_distribution,
@@ -70,6 +70,22 @@ class TestHaarSampler:
             assert abs(np.mean(np.abs(psis[:, 0]) ** 2) - 1 / d) < 0.01
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: HaarSampler(2, -1),
+        lambda: uniform_povm_approximant(2, 4, seed=-1),
+        lambda: scrooge_lower_bound_estimate(2, 100, seed=-1),
+        lambda: min_output_entropy(sic.tetrahedral_povm(), starts=2, seed=-1),
+        lambda: informational_power_lower_bound(sic.tetrahedral_povm(), starts=2, seed=-1),
+    ],
+    ids=["HaarSampler", "uniform_povm_approximant", "scrooge", "minent", "power"],
+)
+def test_negative_seed_is_invalid_input(call):
+    with pytest.raises(InvalidInput, match="seed"):
+        call()
+
+
 class TestMinOutputEntropy:
     def test_tetrahedral_reaches_log3(self):
         report = min_output_entropy(sic.tetrahedral_povm(), starts=50, seed=7)
@@ -130,7 +146,7 @@ class TestDivergenceDescent:
         n = len(p.effects)
         rngs = [np.random.default_rng(seed) for seed in range(4)]
         q_bar = np.full((len(rngs), n), 1.0 / n)
-        phi, divergence = optimize._best_divergent_state(p.stack(), q_bar, rngs, p.dim)
+        phi, divergence = optimize._best_divergent_state(p.effects, q_bar, rngs, p.dim)
         for state, value in zip(phi, divergence):
             deficit = np.log2(n) - conditional_output_entropy(p, state)
             assert value == pytest.approx(deficit, rel=0, abs=1e-12)
@@ -151,7 +167,7 @@ class TestInformationalPower:
         assert report.best_value == pytest.approx(np.log2(4 / 3), abs=1e-6)
         # best ensemble is (up to relabeling/phase) the antitetrahedral one:
         # every kept state is orthogonal to exactly one POVM direction
-        effects = sic.tetrahedral_povm().stack()
+        effects = sic.tetrahedral_povm().effects
         kept = [v for w, v in report.best_states if w > 1e-6]
         for psi in kept:
             overlaps = np.einsum("yij,i,j->y", effects, psi.conj(), psi).real
@@ -332,6 +348,10 @@ class TestFirstOrderSchedule:
 
 
 class TestGradient:
+    def test_rejects_a_state_of_another_dimension(self):
+        with pytest.raises(DimMismatch):
+            output_entropy_gradient(sic.tetrahedral_povm(), np.ones(3) / np.sqrt(3))
+
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(14)
         povms = [sic.tetrahedral_povm(), sic.qutrit_sic_povm()]
@@ -380,7 +400,7 @@ class TestGradient:
             cond = np.array([infotheory.outcome_distribution(p, v) for v in psis])
             if np.min(cond) < 1e-3 or np.min(w) < 1e-3:
                 continue
-            effects = p.stack()
+            effects = p.effects
             grad = _project_tangent(
                 psis, _effect_gradient(_information_coef(w, cond), effects, psis)
             )
@@ -400,7 +420,7 @@ class TestGradient:
 
     def test_descent_monotone(self, monkeypatch):
         p = sic.tetrahedral_povm()
-        effects = p.stack()
+        effects = p.effects
 
         def born(psi):
             return np.clip(np.einsum("yij,ri,rj->ry", effects, psi.conj(), psi).real, 0, None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infopower import sic
-from infopower.errors import InvalidInput
+from infopower.errors import InvalidInput, InvalidOperator
 from infopower.sic import (
     SIC_TOL,
     antitetrahedral_ensemble,
@@ -183,3 +183,12 @@ class TestCertificate:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInput):
             is_sic([])
+
+    def test_array_input_and_malformed_elements(self):
+        stacked = np.array(tetrahedral_povm().effects)
+        assert is_sic(stacked) == is_sic(list(stacked))
+        for bad in (np.zeros((0, 2, 2)), [np.eye(2), np.ones((2, 3))]):
+            with pytest.raises(InvalidInput):
+                is_sic(bad)
+        with pytest.raises(InvalidOperator):
+            is_sic([[["a", 0], [0, 1]]])

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from infopower import sic, states
+from infopower import hilbert, sic, states
 from infopower.errors import (
     InfopowerError,
     InvalidEnsemble,
     InvalidInput,
+    InvalidOperator,
     InvalidPovm,
     NotSic,
 )
@@ -56,6 +57,94 @@ class TestValidation:
         e = Ensemble([np.eye(2) / 2, np.zeros((2, 2))])
         assert len(e) == 2
         assert e.probabilities()[1] == 0.0
+
+
+class TestArrayForm:
+    """Elements are one validated, read-only (n, d, d) complex array."""
+
+    def test_array_input_gives_the_list_object(self):
+        half = np.eye(2) / 2
+        from_array, from_list = Povm(np.stack([half, half])), Povm([half, half])
+        assert from_array.dim == from_list.dim == 2
+        np.testing.assert_array_equal(from_array.effects, from_list.effects)
+        assert from_array.effects.shape == (2, 2, 2)
+        assert from_array.effects.dtype == complex
+        e = Ensemble(np.stack([half / 2, half / 2]))
+        np.testing.assert_array_equal(e.states, Ensemble([half / 2, half / 2]).states)
+
+    def test_one_matrix_is_not_a_list_of_matrices(self):
+        with pytest.raises(InvalidOperator):
+            Povm(np.eye(2))
+        with pytest.raises(InvalidOperator):
+            Ensemble(np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [[["a", 0], [0, 1]]],
+            [[[10**400, 0], [0, 1]]],
+            [np.diag([1.0, 0.0]), [[0, 0], [0, {"re": 1}]]],
+            [np.ones((2, 3))],
+            [np.zeros((0, 0))],
+            5,
+        ],
+    )
+    def test_malformed_elements_are_invalid_operators(self, elements):
+        with pytest.raises(InvalidOperator):
+            Povm(elements)
+
+    def test_caller_arrays_are_copied(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        b = np.diag([0.0, 1.0]).astype(complex)
+        stacked = np.stack([a, b])
+        from_list, from_array = Povm([a, b]), Povm(stacked)
+        a += 3 * np.eye(2)
+        stacked[0] += 3 * np.eye(2)
+        for p in (from_list, from_array):
+            np.testing.assert_array_equal(p.effects.sum(axis=0), np.eye(2))
+
+    def test_elements_are_read_only(self):
+        p = sic.tetrahedral_povm()
+        with pytest.raises(ValueError):
+            p.effects[0][0, 0] = 5
+        e = sic.antitetrahedral_ensemble()
+        with pytest.raises(ValueError):
+            e.states[1] = np.eye(2) / 4
+
+    @pytest.mark.parametrize("cls, err", [(Povm, InvalidPovm), (Ensemble, InvalidEnsemble)])
+    def test_mixed_dimensions_and_empty_input_keep_their_error(self, cls, err):
+        with pytest.raises(err, match="mixed dimensions"):
+            cls([np.eye(2) / 2, np.eye(3) / 3])
+        with pytest.raises(err, match="mixed dimensions"):
+            cls([np.eye(2) / 2, np.ones((2, 3))])
+        for empty in ([], np.zeros((0, 2, 2))):
+            with pytest.raises(err, match="empty"):
+                cls(empty)
+
+
+def test_array_maps_equal_the_per_element_products():
+    # the maps act on the whole (n, d, d) array; each element must come out
+    # exactly as the single-matrix product of the list form
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 4):
+        e, p = random_ensemble(rng, d), random_povm(rng, d)
+        rho = average_state(e)
+        np.testing.assert_array_equal(rho, sum(list(e.states)))
+        np.testing.assert_array_equal(e.probabilities(), [np.trace(s).real for s in e.states])
+        inv_sqrt, sq = hilbert.op_inv_sqrt(rho), hilbert.op_sqrt(rho)
+        np.testing.assert_array_equal(
+            pretty_good_povm(e).effects, [inv_sqrt @ s @ inv_sqrt for s in e.states]
+        )
+        np.testing.assert_array_equal(
+            pretty_good_ensemble(p, rho).states, [sq @ eff @ sq for eff in p.effects]
+        )
+        pure = np.outer(e.states[0][:, 0], e.states[0][:, 0].conj())
+        pure /= np.trace(pure).real
+        basis = hilbert.support_basis(pure)
+        np.testing.assert_array_equal(
+            restrict_to_support(p, pure).effects,
+            [basis.conj().T @ eff @ basis for eff in p.effects],
+        )
 
 
 class TestAverageState:
