@@ -15,9 +15,6 @@ PSD_TOL = 1e-10
 RECON_TOL = 1e-9
 KERNEL_TOL = 1e-12
 
-# Components smaller than this are ignored when fixing eigenvector phases.
-_PHASE_TOL = 1e-12
-
 
 def _check_finite(a: np.ndarray, err) -> np.ndarray:
     """Return a, raising err naming the first entry that is NaN or infinite."""
@@ -51,45 +48,22 @@ def check_state_vector(amplitudes) -> np.ndarray:
     return v
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        sig = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        if sig.size:
-            pivot = col[sig[0]]
-            out[:, k] = col * (abs(pivot) / pivot)
-    return out
-
-
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with a deterministic ordering.
-
-    Eigenvalues are returned in descending order; each eigenvector is
-    phase-normalized so its first non-negligible component is real
-    positive, and exact ties are broken lexicographically on the
-    normalized eigenvector entries.
-    """
+    """Hermitian eigendecomposition with descending eigenvalues; the eigenvector
+    phases and degenerate-eigenspace bases are numpy's, the same for the same input."""
     a = check_hermitian(op)
     if a.ndim != 2:
         raise InvalidOperator(f"expected one square matrix, got shape {a.shape}")
     vals, vecs = np.linalg.eigh(a)
-    vals, vecs = vals[::-1], _fix_phases(vecs[:, ::-1])
-    # stable lexicographic tie-break inside degenerate eigenvalue groups
-    order = sorted(
-        range(len(vals)),
-        key=lambda k: (-vals[k], tuple(zip(vecs[:, k].real, vecs[:, k].imag))),
-    )
-    return vals[order], vecs[:, order]
+    return vals[::-1], vecs[:, ::-1]
 
 
-def _spectral_map(op, fn, psd_check=True) -> np.ndarray:
+def _spectral_map(op, fn) -> np.ndarray:
+    """f(op) for a PSD operator, fn acting on the whole clipped eigenvalue array."""
     vals, vecs = eigh(op)
-    if psd_check and vals.size and not vals[-1] >= -PSD_TOL:
+    if vals.size and not vals[-1] >= -PSD_TOL:
         raise NotPositive(f"eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
-    mapped = np.array([fn(max(v, 0.0)) for v in vals])
-    return (vecs * mapped) @ vecs.conj().T
+    return (vecs * fn(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
 def op_sqrt(op) -> np.ndarray:
@@ -99,19 +73,19 @@ def op_sqrt(op) -> np.ndarray:
 
 def op_inv_sqrt(op) -> np.ndarray:
     """Pseudo-inverse square root: eigenvalues below KERNEL_TOL map to 0."""
-    return _spectral_map(op, lambda v: 1.0 / np.sqrt(v) if v > KERNEL_TOL else 0.0)
+    return _spectral_map(
+        op, lambda v: np.where(v > KERNEL_TOL, 1 / np.sqrt(np.maximum(v, KERNEL_TOL)), 0.0))
 
 
 def support_projector(op) -> np.ndarray:
     """Orthogonal projector onto the support (eigenvalues > KERNEL_TOL)."""
-    return _spectral_map(op, lambda v: 1.0 if v > KERNEL_TOL else 0.0)
+    return _spectral_map(op, lambda v: (v > KERNEL_TOL) * 1.0)
 
 
 def support_basis(op) -> np.ndarray:
     """d x r matrix whose columns span the support of a PSD operator."""
     vals, vecs = eigh(op)
-    keep = vals > KERNEL_TOL
-    return vecs[:, keep]
+    return vecs[:, vals > KERNEL_TOL]
 
 
 def outer(v) -> np.ndarray:

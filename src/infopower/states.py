@@ -17,7 +17,7 @@ from . import hilbert
 from .errors import (
     DimMismatch, InvalidEnsemble, InvalidInput, InvalidOperator, InvalidPovm, InvalidState
 )
-from .hilbert import KERNEL_TOL, PSD_TOL
+from .hilbert import PSD_TOL
 
 SUM_TOL = 1e-9
 
@@ -29,6 +29,11 @@ def _hermitian_stack(elements, err) -> np.ndarray:
     try:
         ops = np.array(elements)
     except ValueError as exc:
+        for el in elements:
+            try:
+                np.array(el)
+            except ValueError as ragged:
+                raise InvalidOperator(f"element is not a matrix: {ragged}") from ragged
         raise err("elements have mixed dimensions") from exc
     if ops.shape[:1] == (0,):
         raise err("element list is empty")
@@ -107,7 +112,7 @@ def restrict_to_support(p: Povm, rho) -> Povm:
     """Compress a POVM onto the support of a state.
 
     The effects become V+ Pi V with V an orthonormal basis of supp(rho)
-    (support eigenvectors in deterministic eigh order), so they sum to the
+    (the support eigenvectors hilbert.eigh returns), so they sum to the
     identity of the subspace and Born probabilities against any state
     supported there are unchanged.
     """
@@ -123,10 +128,10 @@ def pretty_good_povm(e: Ensemble) -> Povm:
     """
     rho = average_state(e)
     inv_sqrt = hilbert.op_inv_sqrt(rho)
-    rank = int(np.sum(np.linalg.eigvalsh(rho) > KERNEL_TOL))
-    if rank == e.dim:
+    basis = hilbert.support_basis(rho)
+    if basis.shape[1] == e.dim:
         return Povm(inv_sqrt @ e.states @ inv_sqrt)
-    compress = hilbert.support_basis(rho).conj().T @ inv_sqrt
+    compress = basis.conj().T @ inv_sqrt
     return Povm(compress @ e.states @ compress.conj().T)
 
 
@@ -166,12 +171,13 @@ def from_json_dict(data: dict):
     """Parse the shared JSON schema into an Ensemble or Povm; the declared dim
     must be the int dimension of the elements."""
     try:
-        kind, dim = data["kind"], data["dim"]
+        kind = data["kind"]
+        if kind not in ("ensemble", "povm"):
+            raise InvalidInput(f"expected kind 'ensemble' or 'povm', got {kind!r}")
+        dim = data["dim"]
         elements = [_matrix_from_json(el["matrix"]) for el in data["elements"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed serialized object: {exc}") from exc
-    if kind not in ("ensemble", "povm"):
-        raise InvalidInput(f"unknown kind {kind!r}")
     obj = Ensemble(elements) if kind == "ensemble" else Povm(elements)
     if type(dim) is not int or dim != obj.dim:
         raise InvalidInput(f"declared dim {dim!r} != element dimension {obj.dim}")

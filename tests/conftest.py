@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +47,4 @@ SHIPPED_D4_FIDUCIAL = Path(__file__).resolve().parents[1] / "perfbench" / "fiduc
 
 @pytest.fixture(scope="session")
 def d4_fiducial_path():
-    for path in (os.environ.get("INFOPOWER_D4_FIDUCIAL", "fiducial_d4.json"), SHIPPED_D4_FIDUCIAL):
-        if os.path.exists(path):
-            return str(path)
-    pytest.skip("no 4-dimensional fiducial file found (set INFOPOWER_D4_FIDUCIAL, "
-                "provide ./fiducial_d4.json, or keep perfbench/fiducial_d4.json)")
+    return str(SHIPPED_D4_FIDUCIAL)

@@ -307,6 +307,14 @@ class TestOutputContracts:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["verify-sic"], ["power", "--povm"]])
+    def test_fiducial_file_given_as_povm_names_its_kind(self, capsys, d4_fiducial_path, argv):
+        code = main([*argv, d4_fiducial_path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "fiducial" in err
+
 
     @pytest.mark.parametrize(
         "argv",

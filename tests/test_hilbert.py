@@ -189,3 +189,39 @@ def test_check_hermitian_takes_a_stack():
     # the spectral calculus takes one matrix only
     with pytest.raises(InvalidOperator):
         eigh(stack)
+
+
+def _degenerate_spectra(d):
+    """I/d, a doubly repeated eigenvalue beside distinct ones, and a rank-d//2 projector."""
+    half = d // 2
+    return {
+        "maximally-mixed": np.full(d, 1 / d),
+        "repeated": np.r_[0.25, 0.25, np.arange(1.0, d - 1)],
+        "projector": np.r_[np.ones(half), np.zeros(d - half)],
+    }
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("name", ["maximally-mixed", "repeated", "projector"])
+def test_degenerate_spectra(d, name):
+    # ties leave the eigenbasis free inside an eigenspace; every map of the
+    # operator and the support it spans must not depend on that choice
+    rng = np.random.default_rng(100 + d)
+    unitary = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    spec = _degenerate_spectra(d)[name]
+    op = (unitary * spec) @ unitary.conj().T
+    vals, vecs = eigh(op)
+    assert np.all(np.diff(vals) <= 0)
+    np.testing.assert_allclose(vals, np.sort(spec)[::-1], atol=RECON_TOL)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= RECON_TOL
+    assert np.max(np.abs((vecs * vals) @ vecs.conj().T - op)) <= RECON_TOL
+    vals2, vecs2 = eigh(op.copy())
+    assert np.array_equal(vals, vals2) and np.array_equal(vecs, vecs2)
+    basis = hilbert.support_basis(op)
+    proj = support_projector(op)
+    assert basis.shape == (d, np.count_nonzero(spec))
+    assert np.max(np.abs(basis @ basis.conj().T - proj)) <= RECON_TOL
+    root = op_sqrt(op)
+    assert np.max(np.abs(root @ root - op)) <= RECON_TOL
+    inv = op_inv_sqrt(op)
+    assert np.max(np.abs(inv @ op @ inv - proj)) <= RECON_TOL

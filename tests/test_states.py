@@ -121,6 +121,16 @@ class TestArrayForm:
             with pytest.raises(err, match="empty"):
                 cls(empty)
 
+    @pytest.mark.parametrize("cls, err", [(Povm, InvalidPovm), (Ensemble, InvalidEnsemble)])
+    def test_ragged_element_is_not_a_matrix(self, cls, err):
+        # one element with rows of different lengths is no matrix at all;
+        # well-formed elements of different sizes are still mixed dimensions
+        for ragged in ([[[1, 0], [0]]], [np.eye(2) / 2, [[0.5, 0], [0]]]):
+            with pytest.raises(InvalidOperator, match="not a matrix"):
+                cls(ragged)
+        with pytest.raises(err, match="mixed dimensions"):
+            cls([np.eye(2) / 2, [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]])
+
 
 def test_array_maps_equal_the_per_element_products():
     # the maps act on the whole (n, d, d) array; each element must come out
@@ -333,6 +343,12 @@ class TestSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidInput):
             states.from_json_dict({"kind": "widget", "dim": 2, "elements": []})
+
+    def test_fiducial_dict_is_rejected_by_its_kind(self):
+        # a fiducial file has no "elements"; its kind is what is wrong
+        data = {"kind": "fiducial", "dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(InvalidInput, match="'fiducial'"):
+            states.from_json_dict(data)
 
     def test_fiducial_parsing(self, tmp_path):
         path = tmp_path / "fid.json"
