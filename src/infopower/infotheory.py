@@ -1,9 +1,9 @@
 """Born-rule and entropy kernels, joint distributions, mutual information,
 and evaluators for every closed-form dimensional bound.
 
-_born (outcome probabilities of stacked pure states) and _entropy_bits
-(Shannon entropy of every row of a stack of distributions) are the one
-definition of each quantity in the package; the optimizers import them.
+_born (Born probabilities of stacked pure states), _divergence_bits (relative
+entropy D(q || r) of every row of a stack of distributions) and _entropy_bits
+(-D(q || 1)) are the one definition of each quantity; the optimizers import them.
 All informational quantities are in bits. The 0*log(0) = 0 convention is
 applied everywhere; probabilities at or below 1e-15 are treated as exact zeros.
 """
@@ -39,10 +39,15 @@ def _nonnegative(h: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0) + 0.0
 
 
+def _divergence_bits(q: np.ndarray, r=1.0) -> np.ndarray:
+    """Relative entropy D(q || r) in bits of every row of q (..., n) from r,
+    which broadcasts; entries of q at or below _ZERO_PROB count as zeros."""
+    return np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, r) / r), axis=-1)
+
+
 def _entropy_bits(q: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of every row of q (..., n), never -0.0 or below
-    zero; entries at or below _ZERO_PROB count as zeros."""
-    return _nonnegative(-np.sum(q * np.log2(np.where(q > _ZERO_PROB, q, 1.0)), axis=-1))
+    """Shannon entropy -D(q || 1) in bits of every row, never -0.0 or below zero."""
+    return _nonnegative(-_divergence_bits(q))
 
 
 def _check_distribution(probs, ndim: int) -> np.ndarray:
@@ -130,25 +135,32 @@ def index_of_coincidence(p: Povm, rho) -> float:
 # ---------------------------------------------------------------------------
 # Closed-form dimensional bounds
 
+def _check_dimension(d: int, least: int) -> int:
+    """d, or InvalidDimension if it is below least."""
+    if d < least:
+        raise InvalidDimension(f"dimension {d} < {least}")
+    return d
+
+
 def holevo_bound(d: int) -> float:
     """Ceiling log2(d) on extractable information in dimension d."""
-    return float(np.log2(d))
+    return float(np.log2(_check_dimension(d, 1)))
 
 
 def scrooge_lower(d: int) -> float:
     """log2(d) - (1/ln 2) * sum_{n=2}^d 1/n, the uniform-measurement floor."""
-    harmonic_tail = np.sum(1.0 / np.arange(2, d + 1))
+    harmonic_tail = np.sum(1.0 / np.arange(2, _check_dimension(d, 1) + 1))
     return float(np.log2(d) - harmonic_tail / np.log(2))
 
 
 def sic_upper(d: int) -> float:
     """log2(2d/(d+1)), the ceiling for SIC ensembles and measurements."""
-    return float(np.log2(2 * d / (d + 1)))
+    return float(np.log2(2 * _check_dimension(d, 1) / (d + 1)))
 
 
 def rastegin_conditional_floor(d: int) -> float:
     """log2(d(d+1)/2), the outcome-entropy floor of a SIC measurement."""
-    return float(np.log2(d * (d + 1) / 2))
+    return float(np.log2(_check_dimension(d, 1) * (d + 1) / 2))
 
 
 def scrooge_asymptote() -> float:
@@ -159,8 +171,7 @@ def scrooge_asymptote() -> float:
 def sic_pretty_good_joint(d: int) -> JointDistribution:
     """Explicit d^2 x d^2 joint distribution of a SIC ensemble measured by
     its pretty-good POVM: diagonal 1/d^3, off-diagonal 1/(d^3 (d+1))."""
-    if d < 2:
-        raise InvalidDimension(f"dimension {d} < 2")
+    _check_dimension(d, 2)
     n = d * d
     probs = np.full((n, n), 1.0 / (d**3 * (d + 1)))
     np.fill_diagonal(probs, 1.0 / d**3)
@@ -170,8 +181,7 @@ def sic_pretty_good_joint(d: int) -> JointDistribution:
 def pg_sic_value(d: int) -> float:
     """Mutual information of the SIC pretty-good joint distribution,
     evaluated directly from its two-valued entry structure."""
-    if d < 2:
-        raise InvalidDimension(f"dimension {d} < 2")
+    _check_dimension(d, 2)
     n = d * d
     p_diag = 1.0 / d**3
     p_off = 1.0 / (d**3 * (d + 1))
@@ -216,8 +226,7 @@ class BoundSet:
 
 def bounds_for_dimension(d: int) -> BoundSet:
     """Evaluate every dimensional bound at d >= 2."""
-    if d < 2:
-        raise InvalidDimension(f"dimension {d} < 2")
+    _check_dimension(d, 2)
     return BoundSet(
         dim=d,
         holevo=holevo_bound(d),

@@ -5,10 +5,10 @@ a product of them: Euclidean gradient projected onto the tangent spaces,
 normalization retraction, backtracking (Armijo) line search. A search does
 not restart at length 1: each step first tries the Barzilai-Borwein length
 of the block's last move (Barzilai-Borwein 1988; Iannazzo-Porcelli 2018 for
-the Riemannian form). One relative-entropy descent (_divergence_descent)
-maximizes D(Born(psi) || r) over pure states. It serves both the minimal
-outcome entropy, with r = 1 since H(q) = -D(q || 1), and the see-saw's
-first-order-optimality check, with r the ensemble's outcome marginal. The
+the Riemannian form). One search (_divergence_search) maximizes
+D(Born(psi) || r) (infotheory._divergence_bits) from Haar starts and keeps
+each r's best. It serves the minimal outcome entropy, with r = 1 since
+H(q) = -D(q || 1), and the see-saw's first-order check, r its marginal. The
 informational-power search alternates a fixed number of Blahut-Arimoto
 sweeps on the prior with one such step on all states of each ensemble,
 see-saw style. Every _CHECK_EVERY iterations it checks first-order
@@ -28,7 +28,8 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidDimension, InvalidInput
-from .infotheory import _ZERO_PROB, _born, _entropy_bits, _nonnegative, outcome_distribution
+from .infotheory import _born, _check_dimension, _divergence_bits, _entropy_bits, _nonnegative
+from .infotheory import outcome_distribution
 from .states import Povm
 
 CONV_TOL = 1e-10
@@ -52,8 +53,7 @@ class HaarSampler:
     """Deterministic stream of Haar-uniform pure states in a fixed dimension."""
 
     def __init__(self, dim: int, seed: int):
-        if dim < 1:
-            raise InvalidDimension(f"dimension {dim} < 1")
+        _check_dimension(dim, 1)
         _check_seed(seed)
         self.dim = dim
         self.seed = seed
@@ -142,16 +142,17 @@ def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) ->
     return 2.0 * np.einsum("...y,yij,...j->...i", coef, effects, psis)
 
 
-def _log_ratio(p: np.ndarray, r) -> np.ndarray:
-    """log2(p / r) elementwise, p floored at _LOG_FLOOR."""
-    return np.log2(np.maximum(p, _LOG_FLOOR) / r)
+def _divergence_coef(q: np.ndarray, r) -> np.ndarray:
+    """Derivative log2(q / r) + 1/ln 2 of D(q || r) in bits with respect to
+    each q_y, q floored at _LOG_FLOOR."""
+    return np.log2(np.maximum(q, _LOG_FLOOR) / r) + 1.0 / np.log(2)
 
 
 def _information_coef(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Derivative w_x log2(p(y|x) / q(y)) of I(X;Y) in bits with respect to
     each p(y|x): (..., m), (..., m, n) -> (..., m, n)."""
     q = np.maximum(_outcome_marginal(weights, cond), _LOG_FLOOR)
-    return weights[..., None] * _log_ratio(cond, q[..., None, :])
+    return weights[..., None] * np.log2(np.maximum(cond, _LOG_FLOOR) / q[..., None, :])
 
 
 # Row products go through matmul, which runs the same BLAS dot and gemv
@@ -188,8 +189,7 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     q = outcome_distribution(p, psi)  # checks the state and its dimension
     psi = np.asarray(psi, dtype=complex)
     # the entropy is -D(q || 1)
-    coef = -(_log_ratio(q, 1.0) + 1.0 / np.log(2))
-    return _project_tangent(psi, _effect_gradient(coef, p.effects, psi))
+    return _project_tangent(psi, _effect_gradient(-_divergence_coef(q, 1.0), p.effects, psi))
 
 
 def _sphere_step(objective, psi, g, value, aux, step):
@@ -288,26 +288,27 @@ def _riemannian_descent(objective, gradient, psi):
     return psi, value, iterations, converged
 
 
-def _divergence_descent(effects, ref, psi0):
-    """Maximize the divergence D(q || r) in bits of the outcome distribution
-    q = Born(psi) from a reference r, by descending -D from every row of
-    psi0 (R, d) with that row's reference in ref (R, n) or (R, 1). With r = 1,
-    -D is the outcome entropy H(q). Outcomes with q at or below _ZERO_PROB
-    count as zeros. Returns (states, divergences, iterations, converged),
-    one entry per row.
-    """
+def _divergence_search(effects, ref, rngs, restarts):
+    """For every row r of the references ref (k, n) or (k, 1), floored at
+    _LOG_FLOOR, the pure state maximizing D(Born(psi) || r) in bits (with
+    r = 1, -D is the outcome entropy): -D descends from `restarts` Haar
+    states drawn from the row's stream in rngs, all as one stack, and the
+    row keeps its best descent. Returns (states (k, d), divergences,
+    iterations, converged), one entry per row."""
+    ref = np.repeat(np.maximum(ref, _LOG_FLOOR), restarts, axis=0)
+    dim = effects.shape[-1]
+    psi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
 
     def objective(psi, rows):
         q = _born(effects, psi)
-        nonzero = q > _ZERO_PROB
-        terms = q * np.log2(np.where(nonzero, q, 1.0) / ref[rows])
-        return -np.sum(np.where(nonzero, terms, 0.0), axis=-1), q
+        return -_divergence_bits(q, ref[rows]), q
 
     def gradient(psi, rows, q):
-        return _effect_gradient(-(_log_ratio(q, ref[rows]) + 1.0 / np.log(2)), effects, psi)
+        return _effect_gradient(-_divergence_coef(q, ref[rows]), effects, psi)
 
-    psi, neg_divergence, iterations, converged = _riemannian_descent(objective, gradient, psi0)
-    return psi, -neg_divergence, iterations, converged
+    psi, neg_div, iterations, converged = _riemannian_descent(objective, gradient, psi0)
+    best = np.argmin(neg_div.reshape(-1, restarts), axis=1) + np.arange(0, len(psi), restarts)
+    return psi[best], -neg_div[best], iterations[best], converged[best]
 
 
 def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> OptimizationReport:
@@ -317,9 +318,8 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     from its own stream.
     """
     _check_run(starts, seed)
-    psi0 = np.concatenate([_haar_from_rng(rng, p.dim) for rng in _start_rngs(seed, starts)])
-    psis, divergence, iterations, converged = _divergence_descent(
-        p.effects, np.ones((starts, 1)), psi0
+    psis, divergence, iterations, converged = _divergence_search(
+        p.effects, np.ones((starts, 1)), _start_rngs(seed, starts), 1
     )
     values = _nonnegative(-divergence)
     best = int(np.argmin(values))
@@ -436,11 +436,9 @@ def informational_power_lower_bound(
             # first-order optimality: every pure state must satisfy
             # D(q_phi || q_bar) <= I; a stalled start with no violating state
             # found has converged, a probed start with one takes it and goes on
-            phi, divergence = _best_divergent_state(
-                effects,
-                _outcome_marginal(weights[rows], cond[rows]),
-                [rngs[s] for s in rows],
-                d,
+            q_bar = _outcome_marginal(weights[rows], cond[rows])
+            phi, divergence, _, _ = _divergence_search(
+                effects, q_bar, [rngs[s] for s in rows], _DIVERGENCE_RESTARTS
             )
             violated = divergence > values[rows] + 10 * CONV_TOL
             converged[rows[~violated & stalled]] = True
@@ -460,25 +458,10 @@ def informational_power_lower_bound(
         if not live.size:
             break
 
+    # a near-trivial POVM's information can round a last bit below zero
     best = int(np.argmax(best_values))
-    return _report(
-        seed, best_values, iterations, converged, best_weights[best], best_psis[best], best
-    )
-
-
-def _best_divergent_state(effects, q_bar, rngs, dim):
-    """For every row of the outcome marginals q_bar (k, n), the pure state
-    maximizing the divergence of its outcome distribution from that row,
-    found by _divergence_descent from _DIVERGENCE_RESTARTS Haar states drawn
-    from the row's stream in rngs. Returns the states (k, d) and divergences (k,)."""
-    restarts = _DIVERGENCE_RESTARTS
-    ref = np.repeat(np.maximum(q_bar, _LOG_FLOOR), restarts, axis=0)
-    phi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
-    phi, divergence, _, _ = _divergence_descent(effects, ref, phi0)
-    divergence = divergence.reshape(-1, restarts)
-    best = np.argmax(divergence, axis=1)
-    rows = np.arange(len(best))
-    return phi.reshape(-1, restarts, dim)[rows, best], divergence[rows, best]
+    values = _nonnegative(best_values)
+    return _report(seed, values, iterations, converged, best_weights[best], best_psis[best], best)
 
 
 def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
@@ -496,8 +479,7 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     (two rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and
     the dimension.
     """
-    if d < 2:
-        raise InvalidDimension(f"dimension {d} < 2")
+    _check_dimension(d, 2)
     if samples < d * d:
         raise InvalidDimension(f"need at least d^2 = {d * d} samples")
     _check_seed(seed)

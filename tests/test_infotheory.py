@@ -9,6 +9,7 @@ from infopower.infotheory import (
     JointDistribution,
     bounds_for_dimension,
     conditional_output_entropy,
+    holevo_bound,
     index_of_coincidence,
     joint_distribution,
     mutual_information,
@@ -257,6 +258,18 @@ class TestBounds:
     def test_rejects_small_dimension(self):
         with pytest.raises(InvalidDimension):
             bounds_for_dimension(1)
+
+    SINGLE_FORMULA = [holevo_bound, scrooge_lower, sic_upper, rastegin_conditional_floor]
+
+    @pytest.mark.parametrize("bound", SINGLE_FORMULA)
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_single_formula_bounds_reject_dimension_below_one(self, bound, d):
+        with pytest.raises(InvalidDimension):
+            bound(d)
+
+    @pytest.mark.parametrize("bound", SINGLE_FORMULA)
+    def test_single_formula_bounds_vanish_at_dimension_one(self, bound):
+        assert bound(1) == 0.0
 
 
 class TestPrettyGoodSicValue:

@@ -146,7 +146,7 @@ class TestDivergenceDescent:
         n = len(p.effects)
         rngs = [np.random.default_rng(seed) for seed in range(4)]
         q_bar = np.full((len(rngs), n), 1.0 / n)
-        phi, divergence = optimize._best_divergent_state(p.effects, q_bar, rngs, p.dim)
+        phi, divergence, _, _ = optimize._divergence_search(p.effects, q_bar, rngs, 3)
         for state, value in zip(phi, divergence):
             deficit = np.log2(n) - conditional_output_entropy(p, state)
             assert value == pytest.approx(deficit, rel=0, abs=1e-12)
@@ -216,16 +216,25 @@ class TestInformationalPower:
     def test_start_that_always_violates_runs_to_max_iter(self, monkeypatch):
         # every first-order check finds a violating state, so every stalled
         # start takes it and goes on: none stops early, none converges
-        check = optimize._best_divergent_state
+        check = optimize._divergence_search
 
-        def violating(effects, q_bar, rngs, dim):
-            phi, divergence = check(effects, q_bar, rngs, dim)
-            return phi, divergence + 10.0
+        def violating(effects, q_bar, rngs, restarts):
+            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts)
+            return phi, divergence + 10.0, iterations, converged
 
-        monkeypatch.setattr(optimize, "_best_divergent_state", violating)
+        monkeypatch.setattr(optimize, "_divergence_search", violating)
         report = informational_power_lower_bound(sic.tetrahedral_povm(), starts=4, seed=9)
         assert report.iterations_per_start == [MAX_ITER] * 4
         assert report.converged_starts == 0
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-11])
+    def test_near_trivial_povm_reports_no_value_below_zero(self, eps):
+        # the information of a near-trivial POVM rounds about 1e-16 from zero
+        # either way; no reported value may be negative or -0.0
+        p = Povm([np.diag([0.5 + eps, 0.5 - eps]), np.diag([0.5 - eps, 0.5 + eps])])
+        report = informational_power_lower_bound(p, starts=6, seed=1)
+        for v in report.values_per_start + [report.best_value]:
+            assert v >= 0 and math.copysign(1.0, v) == 1.0
 
     def test_sandwich_property(self):
         for povm, d, starts in ((sic.tetrahedral_povm(), 2, 20), (sic.qutrit_sic_povm(), 3, 8)):
@@ -274,7 +283,7 @@ class TestFirstOrderSchedule:
         count is at least t, so the rows of the step at t are those starts."""
         steps, dead, checks, rngs = [], [], [], []
         start_rngs, reweight = optimize._start_rngs, optimize._reweight_prior
-        check = optimize._best_divergent_state
+        check = optimize._divergence_search
 
         def recording_rngs(seed, starts):
             rngs.extend(start_rngs(seed, starts))
@@ -291,15 +300,15 @@ class TestFirstOrderSchedule:
                 steps.append(-value)
             return accepted
 
-        def recording_check(effects, q_bar, row_rngs, dim):
+        def recording_check(effects, q_bar, row_rngs, restarts):
             probed = [next(i for i, r in enumerate(rngs) if r is rng) for rng in row_rngs]
             checks.append((len(steps), probed))
-            return check(effects, q_bar, row_rngs, dim)
+            return check(effects, q_bar, row_rngs, restarts)
 
         monkeypatch.setattr(optimize, "_start_rngs", recording_rngs)
         monkeypatch.setattr(optimize, "_reweight_prior", recording_reweight)
         monkeypatch.setattr(optimize, "_sphere_step", recording_step)
-        monkeypatch.setattr(optimize, "_best_divergent_state", recording_check)
+        monkeypatch.setattr(optimize, "_divergence_search", recording_check)
         report = informational_power_lower_bound(povm, starts=starts, seed=seed)
         iterations = np.array(report.iterations_per_start)
         values = np.full((len(steps) + 1, starts), np.nan)
@@ -636,20 +645,20 @@ class TestBarzilaiBorwein:
         # augmented after every stall until MAX_ITER; its next step after each
         # must try 1
         events = []
-        check = optimize._best_divergent_state
+        check = optimize._divergence_search
 
         def recording_step(objective, psi, g, value, aux, step):
             if psi.ndim == 3:  # an ensemble block, not a divergence-check row
                 events.append(float(step[0]))
             return _sphere_step(objective, psi, g, value, aux, step)
 
-        def violating_check(effects, q_bar, rngs, dim):
+        def violating_check(effects, q_bar, rngs, restarts):
             events.append("check")
-            phi, divergence = check(effects, q_bar, rngs, dim)
-            return phi, divergence + 10.0
+            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts)
+            return phi, divergence + 10.0, iterations, converged
 
         monkeypatch.setattr(optimize, "_sphere_step", recording_step)
-        monkeypatch.setattr(optimize, "_best_divergent_state", violating_check)
+        monkeypatch.setattr(optimize, "_divergence_search", violating_check)
         informational_power_lower_bound(sic.tetrahedral_povm(), starts=1, seed=9)
         after_check = [b for a, b in zip(events, events[1:]) if a == "check"]
         assert events[0] == 1.0
