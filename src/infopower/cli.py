@@ -19,11 +19,14 @@ BUILTIN_OBJECTS = {
     "qutrit-orthonormal": sic.qutrit_orthonormal_ensemble,
 }
 
-_ASYMPTOTE_COMMENT = "# asymptotes: scrooge_lower->0.609970, sic_upper->1.0"
+_ASYMPTOTE_COMMENT = (
+    f"# asymptotes: scrooge_lower->{infotheory.scrooge_asymptote():.6f}, sic_upper->1.0"
+)
 _PG_NOTE = (
     "# pg_sic_value: direct evaluation of the SIC pretty-good joint distribution;"
     " the closed-form variant (2d/(d^2(d+1)))log d - ((d-1)/(d^2(d+1)))log(d+1)"
-    " disagrees (0.201253 vs 0.207519 at d=2) and is not used"
+    f" disagrees ({infotheory.pg_sic_closed_form(2):.6f} vs {infotheory.pg_sic_value(2):.6f}"
+    " at d=2) and is not used"
 )
 
 

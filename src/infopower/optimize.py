@@ -12,12 +12,12 @@ H(q) = -D(q || 1), and the see-saw's first-order check, r its marginal. The
 informational-power search alternates a fixed number of Blahut-Arimoto
 sweeps on the prior with one such step on all states of each ensemble,
 see-saw style. Every _CHECK_EVERY iterations it checks first-order
-optimality, in one call, on the starts that stalled and those with a dead
-(underflowed) weight; a checked start with a violating state takes it and
-goes on, up to MAX_ITER, and each start reports the best ensemble it
-reached. A multi-start search runs all of its starts at once as one
-stack of states: the descent and the see-saw keep full per-start arrays and
-work on the rows listed in `live`, the starts that have not stopped.
+optimality, in one call, on every start still running; a start with a
+violating state takes it and goes on, up to MAX_ITER, and each start
+reports the best ensemble it reached. A multi-start search runs all of
+its starts at once as one stack of states: the descent and the see-saw
+keep full per-start arrays and work on the rows listed in `live`, the
+starts that have not stopped.
 Every routine is deterministic for a fixed seed; each start owns a private
 PRNG stream derived from (seed, start index).
 """
@@ -369,12 +369,11 @@ def informational_power_lower_bound(
     needs: alternate a multiplicative prior reweighting with one Riemannian
     ascent step of the mutual information, taken on all d^2 states of an
     ensemble as one block, multi-started over Haar seeds. All starts advance
-    together as one stack. Every _CHECK_EVERY iterations, the starts that
-    stalled on that step and those with a weight below _LOG_FLOOR (whose
-    state gets no gradient) are checked for first-order optimality, all in
-    one call: a start for which a pure state violates it takes the state
-    and goes on; a stalled start for which none is found leaves the stack as
-    converged. A start still running at MAX_ITER is not converged. Every
+    together as one stack. Every _CHECK_EVERY iterations, every start still
+    running is checked for first-order optimality, all in one call: a start
+    for which a pure state violates it takes the state and goes on; a start
+    that stalled on that step and for which none is found leaves the stack
+    as converged. A start still running at MAX_ITER is not converged. Every
     start's value is the mutual information of the best ensemble it reached
     after any step or injection, and that ensemble is the one reported.
     """
@@ -428,21 +427,16 @@ def informational_power_lower_bound(
         stalled = value - values[live] < CONV_TOL
         values[live] = value
         keep_best(live)
-        # every _CHECK_EVERY iterations, probe the stalled starts and those
-        # with a dead slot, whose state gets no gradient and creeps otherwise
-        probe = stalled | (w.min(axis=1) < _LOG_FLOOR)
-        rows, stalled = live[probe], stalled[probe]
-        if outer % _CHECK_EVERY == 0 and rows.size:
+        if outer % _CHECK_EVERY == 0:
             # first-order optimality: every pure state must satisfy
             # D(q_phi || q_bar) <= I; a stalled start with no violating state
-            # found has converged, a probed start with one takes it and goes on
-            q_bar = _outcome_marginal(weights[rows], cond[rows])
+            # found has converged, a start with one takes it and goes on
             phi, divergence, _, _ = _divergence_search(
-                effects, q_bar, [rngs[s] for s in rows], _DIVERGENCE_RESTARTS
+                effects, _outcome_marginal(w, c), [rngs[s] for s in live], _DIVERGENCE_RESTARTS
             )
-            violated = divergence > values[rows] + 10 * CONV_TOL
-            converged[rows[~violated & stalled]] = True
-            inj = rows[violated]
+            violated = divergence > value + 10 * CONV_TOL
+            converged[live[~violated & stalled]] = True
+            inj = live[violated]
             x = np.argmin(weights[inj], axis=1)
             psis[inj, x] = phi[violated]
             weights[inj, x] = np.maximum(weights[inj, x], 0.05)

@@ -27,7 +27,7 @@ class TestBounds:
         lines = out.splitlines()
         assert lines[0] == "d,holevo,sic_upper,scrooge_lower,rastegin_cond,pg_sic_value"
         assert lines[1] == "2,1.000000,0.415037,0.278652,1.584963,0.207519"
-        assert "# asymptotes: scrooge_lower->0.609970, sic_upper->1.0" in lines
+        assert "# asymptotes: scrooge_lower->0.609949, sic_upper->1.0" in lines
 
     def test_d3_row_present(self, capsys):
         code, out = run(capsys, "bounds", "--dmax", "3")
