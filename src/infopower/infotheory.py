@@ -4,8 +4,8 @@ and evaluators for every closed-form dimensional bound.
 _born (Born probabilities of stacked pure states), _divergence_bits (relative
 entropy D(q || r) of every row of a stack of distributions) and _entropy_bits
 (-D(q || 1)) are the one definition of each quantity; the optimizers import them.
-All informational quantities are in bits. The 0*log(0) = 0 convention is
-applied everywhere; probabilities at or below 1e-15 are treated as exact zeros.
+All quantities are in bits, with 0*log(0) = 0: probabilities at or below 1e-15
+are zeros here, and at or below optimize._LOG_FLOOR (1e-18) in the see-saw.
 """
 
 from dataclasses import dataclass

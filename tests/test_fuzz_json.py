@@ -1,0 +1,126 @@
+"""Property tests of the JSON loaders: whatever a file holds, a loader returns
+a valid object or raises InfopowerError, and the CLI exits 0 or 2 with one
+`error:` line; nothing else escapes."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from infopower import sic, states
+from infopower.cli import main
+from infopower.errors import InfopowerError
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+FUZZ = hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+numbers = st.sampled_from([0, 1, -1, 0.5, 1e-300, 1e308, 2**70, 10**400, True]) | st.floats(-2, 2)
+non_numbers = st.none() | st.text(max_size=2) | st.lists(numbers, max_size=2)
+entries = numbers | numbers | numbers | non_numbers
+# a pair is [re, im]; ragged pairs have one or three entries
+pairs = st.lists(entries, min_size=2, max_size=2) | st.lists(entries, max_size=3)
+
+
+@st.composite
+def square_matrices(draw):
+    d = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(pairs, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+matrices = square_matrices() | st.lists(st.lists(pairs, max_size=3), max_size=3)
+kinds = st.sampled_from(["ensemble", "povm", "fiducial", "Povm"])
+schema_dicts = st.fixed_dictionaries(
+    {
+        "kind": kinds | kinds | json_values,
+        "dim": st.integers(-1, 4) | st.sampled_from([2.0, True, "2", None]),
+        "elements": st.lists(st.fixed_dictionaries({"matrix": matrices}), max_size=4) | json_values,
+        "amplitudes": st.lists(pairs, max_size=4) | json_values,
+    }
+)
+VALID = [
+    states.to_json_dict(sic.antitetrahedral_ensemble()),
+    states.to_json_dict(sic.tetrahedral_povm()),
+    {"kind": "fiducial", "dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+]
+
+
+@st.composite
+def mutated_valid(draw):
+    """A valid file, mostly with one value somewhere inside it replaced."""
+    data = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    node, key = data, draw(st.sampled_from(sorted(data)))
+    while isinstance(node[key], (list, dict)) and node[key] and draw(st.integers(0, 4)):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    if draw(st.integers(0, 3)):
+        node[key] = draw(numbers | json_values)
+    return data
+
+
+documents = json_values | schema_dicts | mutated_valid() | mutated_valid()
+
+
+def test_valid_documents_load():
+    assert isinstance(states.from_json_dict(VALID[0]), states.Ensemble)
+    assert isinstance(states.from_json_dict(VALID[1]), states.Povm)
+
+
+@FUZZ
+@hypothesis.given(documents)
+def test_from_json_dict_returns_an_object_or_raises_infopower_error(data):
+    try:
+        obj = states.from_json_dict(data)
+    except InfopowerError:
+        return
+    assert isinstance(obj, (states.Ensemble, states.Povm))
+    assert obj.dim == data["dim"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "object.json"
+
+
+def write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
+
+
+@FUZZ
+@hypothesis.given(documents | st.binary(max_size=8))
+def test_load_fiducial_returns_a_state_or_raises_infopower_error(fuzz_file, content):
+    write(fuzz_file, content)
+    try:
+        psi = states.load_fiducial(fuzz_file)
+    except InfopowerError:
+        return
+    assert psi.shape == (content["dim"],)
+    assert np.isclose(np.linalg.norm(psi), 1.0)
+
+
+@FUZZ
+@hypothesis.given(documents | st.binary(max_size=8))
+def test_mutinfo_exits_0_or_2_with_one_error_line(fuzz_file, content):
+    write(fuzz_file, content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mutinfo", str(fuzz_file), "builtin:tetrahedral"])
+    if code == 0:
+        assert out.getvalue().startswith("I=") and not err.getvalue()
+    else:
+        assert code == 2 and not out.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error:")

@@ -7,6 +7,7 @@ import pytest
 from infopower import infotheory, optimize, sic
 from infopower.errors import DimMismatch, InvalidDimension, InvalidInput
 from infopower.infotheory import (
+    JointDistribution,
     conditional_output_entropy,
     joint_distribution,
     mutual_information,
@@ -24,10 +25,11 @@ from infopower.optimize import (
     MAX_ITER,
     HaarSampler,
     _bb_length,
+    _divergence_coef,
     _effect_gradient,
-    _information_coef,
     _mutual_information_bits,
     _normalize,
+    _outcome_marginal,
     _project_tangent,
     _reweight_prior,
     _riemannian_descent,
@@ -195,6 +197,16 @@ class TestInformationalPower:
         p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         report = informational_power_lower_bound(p, starts=10, seed=1)
         assert report.best_value == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("d, starts, seed", [(2, 6, 1), (3, 4, 2)])
+    def test_povm_with_a_zero_effect(self, d, starts, seed):
+        # the zero effect's outcome has marginal 0: the see-saw's log ratios
+        # read it through the floor, with no divide-by-zero warning
+        p = Povm(list(np.eye(d)[:, None, :] * np.eye(d)[:, :, None]) + [np.zeros((d, d))])
+        report = informational_power_lower_bound(p, starts=starts, seed=seed)
+        assert report.best_value == pytest.approx(np.log2(d), abs=1e-9)
+        entropy = min_output_entropy(p, starts=starts, seed=seed)
+        assert entropy.best_value == pytest.approx(0.0, abs=1e-9)
 
     def test_trivial_povm_returns_zero(self):
         p = Povm([np.eye(2) / 2, np.eye(2) / 2])
@@ -393,9 +405,8 @@ class TestGradient:
             if np.min(cond) < 1e-3 or np.min(w) < 1e-3:
                 continue
             effects = p.effects
-            grad = _project_tangent(
-                psis, _effect_gradient(_information_coef(w, cond), effects, psis)
-            )
+            coef = w[:, None] * _divergence_coef(cond, _outcome_marginal(w, cond))
+            grad = _project_tangent(psis, _effect_gradient(coef, effects, psis))
             num = np.zeros((m, d), dtype=complex)
             for x in range(m):
                 for k in range(d):
@@ -676,6 +687,14 @@ class TestReweightPrior:
         np.testing.assert_allclose(reweighted.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         before = _mutual_information_bits(weights, cond)
         assert np.all(_mutual_information_bits(reweighted, cond) >= before)
+
+    @pytest.mark.parametrize("seed, m, n", [(31, 4, 4), (32, 9, 9), (33, 16, 16), (34, 5, 3)])
+    def test_information_kernel_equals_the_public_one(self, seed, m, n):
+        # exact zeros in the conditionals, which the see-saw reads through its floor
+        weights, cond = self.stack(seed, 12, m, n)
+        public = [mutual_information(JointDistribution(j)) for j in weights[..., None] * cond]
+        kernel = _mutual_information_bits(weights, cond)
+        np.testing.assert_allclose(kernel, public, rtol=0, atol=1e-12)
 
 
 class TestBatchedStarts:
