@@ -39,10 +39,7 @@ def _load_object(spec_str):
                 f"unknown builtin {name!r}; choose from {sorted(BUILTIN_OBJECTS)}"
             )
         return BUILTIN_OBJECTS[name]()
-    try:
-        return states.load(spec_str)
-    except OSError as exc:
-        raise InfopowerError(f"cannot load {spec_str}: {exc}") from exc
+    return states.load(spec_str)
 
 
 def _load_povm(args) -> states.Povm:
@@ -66,8 +63,7 @@ def _emit(text, out_path):
 
 
 def cmd_bounds(args) -> int:
-    if args.dmax < 2:
-        raise InfopowerError("--dmax must be >= 2")
+    infotheory._check_count(args.dmax, 2, InfopowerError, "--dmax")
     rows = [infotheory.bounds_for_dimension(d) for d in range(2, args.dmax + 1)]
     if args.format == "json":
         text = json.dumps([b.to_json_dict() for b in rows], indent=2) + "\n"

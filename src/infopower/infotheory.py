@@ -135,32 +135,37 @@ def index_of_coincidence(p: Povm, rho) -> float:
 # ---------------------------------------------------------------------------
 # Closed-form dimensional bounds
 
-def _check_dimension(d: int, least: int) -> int:
-    """d, or InvalidDimension if it is below least."""
-    if d < least:
-        raise InvalidDimension(f"dimension {d} < {least}")
-    return d
+def _check_count(n, least: int, err=InvalidDimension, what: str = "dimension") -> int:
+    """n as a Python int if it is a Python or numpy integer (not a bool) of at
+    least least, else err. Every count argument goes through here; callers bind
+    the result, so a numpy integer computes and serializes as an int."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise err(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def holevo_bound(d: int) -> float:
     """Ceiling log2(d) on extractable information in dimension d."""
-    return float(np.log2(_check_dimension(d, 1)))
+    return float(np.log2(_check_count(d, 1)))
 
 
 def scrooge_lower(d: int) -> float:
     """log2(d) - (1/ln 2) * sum_{n=2}^d 1/n, the uniform-measurement floor."""
-    harmonic_tail = np.sum(1.0 / np.arange(2, _check_dimension(d, 1) + 1))
+    d = _check_count(d, 1)
+    harmonic_tail = np.sum(1.0 / np.arange(2, d + 1))
     return float(np.log2(d) - harmonic_tail / np.log(2))
 
 
 def sic_upper(d: int) -> float:
     """log2(2d/(d+1)), the ceiling for SIC ensembles and measurements."""
-    return float(np.log2(2 * _check_dimension(d, 1) / (d + 1)))
+    d = _check_count(d, 1)
+    return float(np.log2(2 * d / (d + 1)))
 
 
 def rastegin_conditional_floor(d: int) -> float:
     """log2(d(d+1)/2), the outcome-entropy floor of a SIC measurement."""
-    return float(np.log2(_check_dimension(d, 1) * (d + 1) / 2))
+    d = _check_count(d, 1)
+    return float(np.log2(d * (d + 1) / 2))
 
 
 def scrooge_asymptote() -> float:
@@ -171,7 +176,7 @@ def scrooge_asymptote() -> float:
 def sic_pretty_good_joint(d: int) -> JointDistribution:
     """Explicit d^2 x d^2 joint distribution of a SIC ensemble measured by
     its pretty-good POVM: diagonal 1/d^3, off-diagonal 1/(d^3 (d+1))."""
-    _check_dimension(d, 2)
+    d = _check_count(d, 2)
     n = d * d
     probs = np.full((n, n), 1.0 / (d**3 * (d + 1)))
     np.fill_diagonal(probs, 1.0 / d**3)
@@ -181,7 +186,7 @@ def sic_pretty_good_joint(d: int) -> JointDistribution:
 def pg_sic_value(d: int) -> float:
     """Mutual information of the SIC pretty-good joint distribution,
     evaluated directly from its two-valued entry structure."""
-    _check_dimension(d, 2)
+    d = _check_count(d, 2)
     n = d * d
     p_diag = 1.0 / d**3
     p_off = 1.0 / (d**3 * (d + 1))
@@ -196,6 +201,7 @@ def pg_sic_closed_form(d: int) -> float:
     at d=2); kept only so the discrepancy can be reported, never used as a
     reference value.
     """
+    d = _check_count(d, 2)
     return float(
         2 * d / (d**2 * (d + 1)) * np.log2(d)
         - (d - 1) / (d**2 * (d + 1)) * np.log2(d + 1)
@@ -226,7 +232,7 @@ class BoundSet:
 
 def bounds_for_dimension(d: int) -> BoundSet:
     """Evaluate every dimensional bound at d >= 2."""
-    _check_dimension(d, 2)
+    d = _check_count(d, 2)
     return BoundSet(
         dim=d,
         holevo=holevo_bound(d),

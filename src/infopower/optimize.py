@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidDimension, InvalidInput
-from .infotheory import _born, _check_dimension, _divergence_bits, _entropy_bits, _nonnegative
+from .errors import InvalidInput
+from .infotheory import _born, _check_count, _divergence_bits, _entropy_bits, _nonnegative
 from .infotheory import outcome_distribution
 from .states import Povm
 
@@ -53,11 +53,9 @@ class HaarSampler:
     """Deterministic stream of Haar-uniform pure states in a fixed dimension."""
 
     def __init__(self, dim: int, seed: int):
-        _check_dimension(dim, 1)
-        _check_seed(seed)
-        self.dim = dim
-        self.seed = seed
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.dim = _check_count(dim, 1)
+        self.seed = _check_count(seed, 0, InvalidInput, "seed")
+        self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def state(self) -> np.ndarray:
         """One normalized vector of independent standard complex Gaussians."""
@@ -65,7 +63,7 @@ class HaarSampler:
 
     def states(self, n: int) -> np.ndarray:
         """n x dim array of independent Haar samples."""
-        return _haar_from_rng(self._rng, self.dim, n)
+        return _haar_from_rng(self._rng, self.dim, _check_count(n, 0, InvalidInput, "n"))
 
 
 @dataclass
@@ -114,17 +112,6 @@ def _start_rngs(seed: int, starts: int):
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(seed).spawn(starts)
     ]
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
-
-
-def _check_run(starts: int, seed: int) -> None:
-    if starts < 1:
-        raise InvalidInput("starts must be >= 1")
-    _check_seed(seed)
 
 
 def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
@@ -312,7 +299,8 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     All starts descend together as one stack, each from a Haar state drawn
     from its own stream.
     """
-    _check_run(starts, seed)
+    starts = _check_count(starts, 1, InvalidInput, "starts")
+    seed = _check_count(seed, 0, InvalidInput, "seed")
     psis, divergence, iterations, converged = _divergence_search(
         p.effects, np.ones((starts, 1)), _start_rngs(seed, starts), 1
     )
@@ -371,7 +359,8 @@ def informational_power_lower_bound(
     start's value is the mutual information of the best ensemble it reached
     after any step or injection, and that ensemble is the one reported.
     """
-    _check_run(starts, seed)
+    starts = _check_count(starts, 1, InvalidInput, "starts")
+    seed = _check_count(seed, 0, InvalidInput, "seed")
     d = p.dim
     m = d * d
     effects = p.effects
@@ -469,10 +458,9 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     (two rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and
     the dimension.
     """
-    _check_dimension(d, 2)
-    if samples < d * d:
-        raise InvalidDimension(f"need at least d^2 = {d * d} samples")
-    _check_seed(seed)
+    d = _check_count(d, 2)
+    samples = _check_count(samples, d * d, what="samples")
+    seed = _check_count(seed, 0, InvalidInput, "seed")
     # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, _CHUNK_ENTRIES // d), samples)
@@ -499,10 +487,8 @@ def uniform_povm_approximant(d: int, n: int, seed: int = 0) -> Povm:
     Draws n Haar states, forms S = sum |psi><psi|, and returns the effects
     S^{-1/2}|psi><psi|S^{-1/2}; the orbit sums to the identity exactly.
     """
-    if n < d:
-        raise InvalidDimension(f"need at least d = {d} outcomes")
     sampler = HaarSampler(d, seed)
-    psis = sampler.states(n)
+    psis = sampler.states(_check_count(n, sampler.dim, what="outcomes"))
     s = psis.T @ psis.conj()
     balance = hilbert.op_inv_sqrt(s)
     rotated = psis @ balance.T

@@ -315,6 +315,39 @@ class TestOutputContracts:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "fiducial" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mutinfo", "builtin:nope", "builtin:tetrahedral"], "unknown builtin 'nope'"),
+            (
+                ["power", "--builtin", "antitetrahedral", "--starts", "1"],
+                "expected a POVM, got an ensemble",
+            ),
+            (["bounds", "--dmax", "1"], "--dmax must be an integer >= 2, got 1"),
+        ],
+    )
+    def test_bad_choice_is_one_error_line(self, capsys, argv, message):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mutinfo", "FILE", "builtin:tetrahedral"],
+            ["power", "--povm", "FILE", "--starts", "1"],
+            ["power", "--fiducial", "FILE", "--starts", "1"],
+        ],
+    )
+    def test_missing_file_is_one_error_line_naming_it(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "nope.json")
+        code = main([path if a == "FILE" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert path in err
+
 
     @pytest.mark.parametrize(
         "argv",

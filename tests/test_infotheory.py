@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -270,6 +271,32 @@ class TestBounds:
     @pytest.mark.parametrize("bound", SINGLE_FORMULA)
     def test_single_formula_bounds_vanish_at_dimension_one(self, bound):
         assert bound(1) == 0.0
+
+    PAIR_FORMULA = [bounds_for_dimension, sic_pretty_good_joint, pg_sic_value, pg_sic_closed_form]
+
+    @pytest.mark.parametrize("bound", PAIR_FORMULA)
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_pair_formulas_reject_dimension_below_two(self, bound, d):
+        with pytest.raises(InvalidDimension, match=f"integer >= 2, got {d}"):
+            bound(d)
+
+    @pytest.mark.parametrize("bound", SINGLE_FORMULA + PAIR_FORMULA)
+    @pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3.0), True, "3", None])
+    def test_non_integer_dimension_is_invalid(self, bound, d):
+        with pytest.raises(InvalidDimension, match="must be an integer"):
+            bound(d)
+
+    @pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint8])
+    def test_numpy_integer_dimension_gives_the_python_int_values(self, int_type):
+        for d in (2, 3, 7):
+            assert bounds_for_dimension(int_type(d)) == bounds_for_dimension(d)
+            assert pg_sic_closed_form(int_type(d)) == pg_sic_closed_form(d)
+            for bound in self.SINGLE_FORMULA:
+                assert bound(int_type(d)) == bound(d)
+
+    def test_numpy_integer_dimension_serializes_as_json(self):
+        text = json.dumps(bounds_for_dimension(np.int64(3)).to_json_dict())
+        assert json.loads(text) == bounds_for_dimension(3).to_json_dict()
 
 
 class TestPrettyGoodSicValue:

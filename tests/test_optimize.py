@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -85,6 +86,75 @@ class TestHaarSampler:
 def test_negative_seed_is_invalid_input(call):
     with pytest.raises(InvalidInput, match="seed"):
         call()
+
+
+TETRAHEDRAL = sic.tetrahedral_povm()
+
+
+@pytest.mark.parametrize(
+    "call, err",
+    [
+        (lambda: HaarSampler(2.0, 1), InvalidDimension),
+        (lambda: HaarSampler(0, 1), InvalidDimension),
+        (lambda: HaarSampler(2, 1.0), InvalidInput),
+        (lambda: HaarSampler(2, True), InvalidInput),
+        (lambda: HaarSampler(2, 1).states(-1), InvalidInput),
+        (lambda: HaarSampler(2, 1).states(2.0), InvalidInput),
+        (lambda: uniform_povm_approximant(2, 4.0), InvalidDimension),
+        (lambda: uniform_povm_approximant(2, 1), InvalidDimension),
+        (lambda: uniform_povm_approximant(2.5, 4), InvalidDimension),
+        (lambda: informational_power_lower_bound(TETRAHEDRAL, starts=2.5), InvalidInput),
+        (lambda: informational_power_lower_bound(TETRAHEDRAL, starts=2, seed=None), InvalidInput),
+        (lambda: min_output_entropy(TETRAHEDRAL, seed=1.5), InvalidInput),
+        (lambda: min_output_entropy(TETRAHEDRAL, starts=True), InvalidInput),
+        (lambda: scrooge_lower_bound_estimate(2, 100.0), InvalidDimension),
+        (lambda: scrooge_lower_bound_estimate(2.0, 100), InvalidDimension),
+        (lambda: scrooge_lower_bound_estimate(1, 100), InvalidDimension),
+        (lambda: scrooge_lower_bound_estimate(2, 100, seed="1"), InvalidInput),
+    ],
+    ids=[
+        "sampler-dim-float",
+        "sampler-dim-0",
+        "sampler-seed-float",
+        "sampler-seed-bool",
+        "sampler-n-negative",
+        "sampler-n-float",
+        "approximant-n-float",
+        "approximant-n-below-d",
+        "approximant-d-float",
+        "power-starts-float",
+        "power-seed-none",
+        "minent-seed-float",
+        "minent-starts-bool",
+        "scrooge-samples-float",
+        "scrooge-d-float",
+        "scrooge-d-1",
+        "scrooge-seed-str",
+    ],
+)
+def test_count_argument_outside_its_range_is_typed(call, err):
+    with pytest.raises(err, match="must be an integer >= "):
+        call()
+
+
+@pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint8])
+class TestNumpyIntegerCounts:
+    @pytest.mark.parametrize("solver", [informational_power_lower_bound, min_output_entropy])
+    def test_optimizers_report_the_python_int_run(self, solver, int_type):
+        report = solver(TETRAHEDRAL, starts=int_type(3), seed=int_type(5)).to_json_dict()
+        assert json.dumps(report) == json.dumps(solver(TETRAHEDRAL, starts=3, seed=5).to_json_dict())
+        assert type(report["seed"]) is int
+
+    def test_sampler_streams_and_stores_python_ints(self, int_type):
+        sampler = HaarSampler(int_type(3), int_type(4))
+        assert type(sampler.dim) is int and type(sampler.seed) is int
+        np.testing.assert_array_equal(sampler.states(int_type(5)), HaarSampler(3, 4).states(5))
+
+    def test_scrooge_and_approximant(self, int_type):
+        est = scrooge_lower_bound_estimate(int_type(3), int_type(200), int_type(2))
+        assert est == scrooge_lower_bound_estimate(3, 200, 2)
+        povm = uniform_povm_approximant(int_type(2), int_type(5), int_type(1))
+        np.testing.assert_array_equal(povm.effects, uniform_povm_approximant(2, 5, 1).effects)
 
 
 class TestMinOutputEntropy:

@@ -313,6 +313,10 @@ class TestSicConversion:
         with pytest.raises(NotSic):
             sic_ensemble_from_povm(basis)
 
+    def test_rejects_non_sic_ensemble(self):
+        with pytest.raises(NotSic):
+            sic_povm_from_ensemble(sic.qutrit_orthonormal_ensemble())
+
 
 class TestSerialization:
     def test_round_trip_povm(self, tmp_path):
@@ -339,6 +343,10 @@ class TestSerialization:
         data["dim"] = dim
         with pytest.raises(InvalidInput, match="dim"):
             states.from_json_dict(data)
+
+    def test_rejects_an_object_that_is_not_an_ensemble_or_povm(self):
+        with pytest.raises(InvalidInput, match="cannot serialize object"):
+            states.to_json_dict(object())
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidInput):
