@@ -6,6 +6,7 @@ mutinfo, power, minent, scrooge. Exit codes: 0 success, 1 semantic failure
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -123,8 +124,9 @@ def cmd_mutinfo(args) -> int:
 
 
 def cmd_search(args) -> int:
-    """power and minent: run the multi-start search args.search on the POVM."""
-    report = args.search(_load_povm(args), starts=args.starts, seed=args.seed)
+    """power and minent: run the multi-start search optimize.<args.search> on the POVM."""
+    search = getattr(optimize, args.search)
+    report = search(_load_povm(args), starts=args.starts, seed=args.seed)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -151,6 +153,8 @@ def _add_povm_source(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each subcommand's defaults name its handler in this module
+    (func) and, for power and minent, its search in optimize (search)."""
     parser = argparse.ArgumentParser(
         prog="infopower",
         description="Information extraction bounds and optimizers for quantum "
@@ -160,34 +164,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="dimensional bound table")
     p_bounds.add_argument("--dmax", type=int, required=True)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func="cmd_bounds")
 
     p_verify = sub.add_parser("verify-sic", help="certify the SIC conditions")
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=sorted(BUILTIN_OBJECTS))
     group.add_argument("path", nargs="?", help="ensemble/POVM JSON file")
-    p_verify.set_defaults(func=cmd_verify_sic)
+    p_verify.set_defaults(func="cmd_verify_sic")
 
     p_mi = sub.add_parser("mutinfo", help="mutual information of a pair")
     p_mi.add_argument("ensemble", help="ensemble JSON file or builtin:NAME")
     p_mi.add_argument("povm", help="POVM JSON file or builtin:NAME")
-    p_mi.set_defaults(func=cmd_mutinfo)
+    p_mi.set_defaults(func="cmd_mutinfo")
 
     for name, search, help_text in (
-        ("power", optimize.informational_power_lower_bound, "informational power lower bound"),
-        ("minent", optimize.min_output_entropy, "minimal outcome entropy over pure states"),
+        ("power", "informational_power_lower_bound", "informational power lower bound"),
+        ("minent", "min_output_entropy", "minimal outcome entropy over pure states"),
     ):
         p_search = sub.add_parser(name, help=help_text)
         _add_povm_source(p_search)
         p_search.add_argument("--starts", type=int, default=100)
         p_search.add_argument("--seed", type=int, default=0)
-        p_search.set_defaults(func=cmd_search, search=search)
+        p_search.set_defaults(func="cmd_search", search=search)
 
     p_scrooge = sub.add_parser("scrooge", help="Monte-Carlo information floor")
     p_scrooge.add_argument("--dim", type=int, required=True)
     p_scrooge.add_argument("--samples", type=int, required=True)
     p_scrooge.add_argument("--seed", type=int, default=0)
-    p_scrooge.set_defaults(func=cmd_scrooge)
+    p_scrooge.set_defaults(func="cmd_scrooge")
 
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="write output to a file")
@@ -198,14 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up at dispatch: a handler rebound after the parser was built is called
+        return globals()[args.func](args)
     except (InfopowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,12 +144,20 @@ def pretty_good_ensemble(p: Povm, rho) -> Ensemble:
 # ---------------------------------------------------------------------------
 # JSON serialization (shared with the CLI)
 
-def _matrix_to_json(m: np.ndarray):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+def _complex_to_pairs(a: np.ndarray) -> list:
+    """The complex array a as nested lists with an [re, im] pair per entry."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _complex_from_pairs(pairs, ndim: int) -> np.ndarray:
+    """The complex array whose entries are the [re, im] pairs nested ndim lists
+    deep, each with the bits of complex(re, im). ValueError unless every pair
+    is two numbers at that depth; a string, a null, a deeper list or an
+    integer too long for numpy's integer types is not a number."""
+    a = np.array(pairs)
+    if a.dtype.kind not in "biuf" or a.shape[ndim:] != (2,):
+        raise ValueError(f"expected pairs of numbers [re, im], nested {ndim} lists deep")
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def to_json_dict(obj) -> dict:
@@ -163,7 +171,7 @@ def to_json_dict(obj) -> dict:
     return {
         "kind": kind,
         "dim": obj.dim,
-        "elements": [{"matrix": _matrix_to_json(m)} for m in elements],
+        "elements": [{"matrix": m} for m in _complex_to_pairs(elements)],
     }
 
 
@@ -175,7 +183,7 @@ def from_json_dict(data: dict):
         if kind not in ("ensemble", "povm"):
             raise InvalidInput(f"expected kind 'ensemble' or 'povm', got {kind!r}")
         dim = data["dim"]
-        elements = [_matrix_from_json(el["matrix"]) for el in data["elements"]]
+        elements = [_complex_from_pairs(el["matrix"], 2) for el in data["elements"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed serialized object: {exc}") from exc
     obj = Ensemble(elements) if kind == "ensemble" else Povm(elements)
@@ -212,7 +220,7 @@ def load_fiducial(path) -> np.ndarray:
         if data["kind"] != "fiducial":
             raise InvalidInput(f"expected kind 'fiducial', got {data['kind']!r}")
         dim = data["dim"]
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        amps = _complex_from_pairs(data["amplitudes"], 1)
         if type(dim) is not int or len(amps) != dim:
             raise InvalidInput(f"declared dim {dim!r} != amplitude count {len(amps)}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

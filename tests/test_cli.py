@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infopower import sic, states
+from infopower import cli, optimize, sic, states
 from infopower.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -269,6 +269,58 @@ class TestOptimizerCommands:
         code = main(["power", "--builtin", "tetrahedral", "--starts", "0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestParserReuse:
+    """main builds its parser once per process and looks handlers up by name
+    when it dispatches."""
+
+    VALID = [
+        ["bounds", "--dmax", "5", "--format", "json"],
+        ["mutinfo", "builtin:antitetrahedral", "builtin:tetrahedral", "--format", "json"],
+        ["verify-sic", "--builtin", "qutrit"],
+    ]
+
+    def test_usage_error_and_help_leave_later_calls_unchanged(self, capsys):
+        first = []
+        for argv in self.VALID:
+            cli._parser.cache_clear()
+            first.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        assert run(capsys, "bounds", "--dmax", "two")[0] == 2
+        assert run(capsys, "--help")[0] == 0
+        assert [run(capsys, *argv) for argv in self.VALID] == first
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in self.VALID:
+            run(capsys, *argv)
+        assert built == [1]
+
+    def test_rebound_search_is_the_one_called(self, capsys, monkeypatch):
+        run(capsys, "bounds", "--dmax", "2")  # the parser exists before the rebinding
+        seen = []
+
+        class Report:
+            def to_json_dict(self):
+                return {"fake": True}
+
+        def fake(povm, starts, seed):
+            seen.append((povm.dim, starts, seed))
+            return Report()
+
+        monkeypatch.setattr(optimize, "min_output_entropy", fake)
+        code, out = run(capsys, "minent", "--builtin", "qutrit", "--starts", "3", "--seed", "5")
+        assert code == 0 and seen == [(3, 3, 5)]
+        assert json.loads(out) == {"fake": True}
+
+    def test_rebound_handler_is_the_one_called(self, capsys, monkeypatch):
+        run(capsys, "bounds", "--dmax", "2")
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: 7)
+        assert run(capsys, "bounds", "--dmax", "2") == (7, "")
 
 
 class TestOutputContracts:

@@ -87,6 +87,39 @@ def test_from_json_dict_returns_an_object_or_raises_infopower_error(data):
     assert obj.dim == data["dim"]
 
 
+# JSON numbers the decoder takes: finite floats, -0.0, bools and ints in int64
+decodable = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.booleans()
+    | st.just(-0.0)
+)
+decodable_pairs = st.lists(decodable, min_size=2, max_size=2)
+
+
+@st.composite
+def pair_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(decodable_pairs, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@FUZZ
+@hypothesis.given(
+    st.tuples(st.just(1), st.lists(decodable_pairs, min_size=1, max_size=6))
+    | st.tuples(st.just(2), pair_matrices())
+)
+def test_pair_decoder_has_the_bits_of_complex_per_entry(case):
+    ndim, pairs = case
+    if ndim == 1:
+        expected = np.array([complex(re, im) for re, im in pairs])
+    else:
+        expected = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    got = states._complex_from_pairs(pairs, ndim)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "object.json"

@@ -381,6 +381,63 @@ class TestSerialization:
         with pytest.raises(InvalidInput, match="dim"):
             states.load_fiducial(path)
 
+    # a string is not parsed and a null is not NaN; 10**400 overflows a float
+    # and 2**70 is too long for numpy's integer types, so neither is a number
+    @pytest.mark.parametrize(
+        "entry",
+        ["1.5", None, {"re": 1}, 10**400, 2**70],
+        ids=["string", "null", "object", "401-digit", "2**70"],
+    )
+    def test_entry_that_is_not_a_number_is_invalid_input(self, entry):
+        data = states.to_json_dict(sic.tetrahedral_povm())
+        data["elements"][0]["matrix"][0][0][0] = entry
+        with pytest.raises(InvalidInput, match="pairs of numbers"):
+            states.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "renest",
+        [
+            lambda m: [m],
+            lambda m: [[[pair] for pair in row] for row in m],
+            lambda m: m[0],
+        ],
+        ids=["matrix-in-a-list", "pair-in-a-list", "one-row"],
+    )
+    def test_matrix_at_the_wrong_depth_is_invalid_input(self, renest):
+        # not "mixed dimensions": the element is no matrix of pairs at all
+        data = states.to_json_dict(sic.tetrahedral_povm())
+        data["elements"][1]["matrix"] = renest(data["elements"][1]["matrix"])
+        with pytest.raises(InvalidInput, match="pairs of numbers"):
+            states.from_json_dict(data)
+
+    def test_elements_of_two_sizes_reach_the_stacked_validator(self):
+        data = states.to_json_dict(sic.tetrahedral_povm())
+        data["elements"].append(states.to_json_dict(sic.qutrit_sic_povm())["elements"][0])
+        with pytest.raises(InvalidPovm, match="mixed dimensions"):
+            states.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [["1", 0], [0, 0]],
+            [[None, 0], [0, 0]],
+            [[10**400, 0], [0, 0]],
+            [[[1, 0]], [[0, 0]]],
+            [[1, 0, 0], [0, 0, 0]],
+        ],
+        ids=["string", "null", "401-digit", "pair-in-a-list", "triples"],
+    )
+    def test_fiducial_amplitudes_must_be_pairs_of_numbers(self, tmp_path, amps):
+        path = tmp_path / "fid.json"
+        path.write_text(json.dumps({"kind": "fiducial", "dim": 2, "amplitudes": amps}))
+        with pytest.raises(InvalidInput, match="pairs of numbers"):
+            states.load_fiducial(path)
+
+    def test_written_pairs_are_plain_floats(self):
+        # -0.0 keeps its sign, and json writes each entry as a Python float
+        m = np.array([[[complex(-0.0, 1.0), complex(0.5, -0.0)]]])
+        assert json.dumps(states._complex_to_pairs(m)) == "[[[[-0.0, 1.0], [0.5, -0.0]]]]"
+
 
 def test_pretty_good_povm_always_valid():
     rng = np.random.default_rng(41)
