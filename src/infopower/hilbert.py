@@ -16,8 +16,14 @@ RECON_TOL = 1e-9
 KERNEL_TOL = 1e-12
 
 
-def _check_finite(a: np.ndarray, err) -> np.ndarray:
-    """Return a, raising err naming the first entry that is NaN or infinite."""
+def _as_array(x, dtype, err) -> np.ndarray:
+    """x as a numpy array of dtype, the one conversion of every array argument:
+    err if it does not convert (a ragged nest, a non-number, an integer too
+    large for a float) or has an entry that is NaN or infinite."""
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise err(f"not an array of numbers: {exc}") from exc
     if not np.isfinite(a).all():
         raise err(f"non-finite entry {a[~np.isfinite(a)][0]}")
     return a
@@ -26,11 +32,10 @@ def _check_finite(a: np.ndarray, err) -> np.ndarray:
 def check_hermitian(matrix) -> np.ndarray:
     """Return one matrix or a stack (..., d, d) as a finite complex array,
     raising InvalidOperator if it is not square and Hermitian."""
-    a = np.asarray(matrix, dtype=complex)
+    a = _as_array(matrix, complex, InvalidOperator)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidOperator(f"expected a square matrix, got shape {a.shape}")
-    _check_finite(a, InvalidOperator)
-    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0)
     if not dev <= HERM_TOL:
         raise InvalidOperator(f"matrix deviates from Hermitian by {dev:.3e}")
     return a
@@ -38,10 +43,9 @@ def check_hermitian(matrix) -> np.ndarray:
 
 def check_state_vector(amplitudes) -> np.ndarray:
     """Return a normalized complex vector, raising InvalidState otherwise."""
-    v = np.asarray(amplitudes, dtype=complex)
+    v = _as_array(amplitudes, complex, InvalidState)
     if v.ndim != 1 or v.size == 0:
         raise InvalidState(f"expected a nonempty vector, got shape {v.shape}")
-    _check_finite(v, InvalidState)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise InvalidState(f"vector norm {norm} is not 1 within {NORM_TOL}")
@@ -75,11 +79,6 @@ def op_inv_sqrt(op) -> np.ndarray:
     """Pseudo-inverse square root: eigenvalues below KERNEL_TOL map to 0."""
     return _spectral_map(
         op, lambda v: np.where(v > KERNEL_TOL, 1 / np.sqrt(np.maximum(v, KERNEL_TOL)), 0.0))
-
-
-def support_projector(op) -> np.ndarray:
-    """Orthogonal projector onto the support (eigenvalues > KERNEL_TOL)."""
-    return _spectral_map(op, lambda v: (v > KERNEL_TOL) * 1.0)
 
 
 def support_basis(op) -> np.ndarray:

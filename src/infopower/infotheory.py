@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import DimMismatch, InvalidDimension, InvalidDistribution
-from .hilbert import PSD_TOL, _check_finite
+from .hilbert import PSD_TOL, _as_array
 from .states import SUM_TOL, Ensemble, Povm, _check_density
 
 _ZERO_PROB = 1e-15
@@ -54,10 +54,9 @@ def _check_distribution(probs, ndim: int) -> np.ndarray:
     """probs as a nonempty float array with ndim axes, finite, nonnegative up
     to PSD_TOL (clipped to zero) and summing to one; InvalidDistribution
     otherwise."""
-    p = np.asarray(probs, dtype=float)
+    p = _as_array(probs, float, InvalidDistribution)
     if p.ndim != ndim or not p.size:
         raise InvalidDistribution(f"expected a nonempty {ndim}-d array, got shape {p.shape}")
-    _check_finite(p, InvalidDistribution)
     if not np.min(p) >= -PSD_TOL:
         raise InvalidDistribution(f"negative probability {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)
@@ -100,11 +99,12 @@ def shannon_entropy(dist) -> float:
 
 
 def joint_distribution(e: Ensemble, p: Povm) -> JointDistribution:
-    """Born-rule joint distribution probs[x][y] = Tr[rho_x Pi_y]."""
+    """Born-rule joint distribution probs[x][y] = Tr[rho_x Pi_y], divided by
+    its total: the ensemble's and the POVM's SUM_TOL add in the product."""
     if e.dim != p.dim:
         raise DimMismatch(f"ensemble dim {e.dim} != POVM dim {p.dim}")
     probs = np.einsum("xij,yji->xy", e.states, p.effects).real
-    return JointDistribution(probs)
+    return JointDistribution(probs / probs.sum())
 
 
 def mutual_information(j: JointDistribution) -> float:

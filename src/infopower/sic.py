@@ -137,9 +137,9 @@ def is_sic(elements) -> SicCertificate:
     target = lam**2 / (d + 1)
     off = overlaps[~np.eye(n, dtype=bool)]
     # with one element there are no pairs and the overlap condition is vacuous
-    pair_dev = float(np.max(np.abs(off - target))) if off.size else 0.0
+    pair_dev = float(np.max(np.abs(off - target), initial=0.0))
     # every eigenvalue but the largest of each element is zero for rank one
-    rank_dev = float(np.max(np.abs(np.linalg.eigvalsh(ops)[:, :-1]))) if d > 1 else 0.0
+    rank_dev = float(np.max(np.abs(np.linalg.eigvalsh(ops)[:, :-1]), initial=0.0))
 
     avg_dev = float(np.linalg.norm(ops.sum(axis=0) - d * lam * np.eye(d)))
 

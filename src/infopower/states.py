@@ -39,10 +39,6 @@ def _hermitian_stack(elements, err) -> np.ndarray:
         raise err("element list is empty")
     if ops.ndim != 3 or not ops.shape[-1]:
         raise InvalidOperator(f"expected a list of square matrices, got shape {ops.shape}")
-    try:
-        ops = ops.astype(complex, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidOperator(f"entry is not a number: {exc}") from exc
     return hilbert.check_hermitian(ops)
 
 
@@ -95,14 +91,12 @@ def average_state(e: Ensemble) -> np.ndarray:
 
 
 def _check_density(rho, dim: int) -> np.ndarray:
-    """rho as an array: DimMismatch unless it is d x d with d = dim,
-    InvalidState unless it is positive with unit trace."""
-    rho = hilbert.check_hermitian(rho)
+    """rho as a read-only array: InvalidOperator unless it is one square
+    Hermitian matrix, InvalidState unless it is positive with unit trace,
+    DimMismatch unless it is d x d with d = dim."""
+    rho = _check_elements([rho], InvalidState)[0]
     if rho.shape != (dim, dim):
         raise DimMismatch(f"state shape {rho.shape} != POVM dim {dim}")
-    evs = np.linalg.eigvalsh(rho)
-    if not evs[0] >= -PSD_TOL:
-        raise InvalidState(f"state has negative eigenvalue {evs[0]:.3e}")
     if not abs(np.trace(rho).real - 1.0) <= SUM_TOL:
         raise InvalidState("state trace is not 1")
     return rho

@@ -167,6 +167,16 @@ class TestMutinfo:
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error:") and "non-finite" in done.stderr
 
+    def test_pair_whose_tolerances_add_is_accepted(self, capsys, tmp_path):
+        # traces sum to 1 + 9e-10 and effects to (1 + 9e-10) I: each file is
+        # valid, and the pair's joint distribution sums to 1 + 1.8e-9
+        epath, ppath = tmp_path / "edge_ens.json", tmp_path / "edge_povm.json"
+        states.save(states.Ensemble([np.diag([0.50000000045, 0]), np.diag([0, 0.50000000045])]), epath)
+        states.save(states.Povm([np.diag([1.0000000009, 0]), np.diag([0, 1.0000000009])]), ppath)
+        code, out = run(capsys, "mutinfo", str(epath), str(ppath), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["I"] == pytest.approx(1.0, abs=1e-12)
+
     def test_declared_dim_unlike_elements_exit_2(self, capsys, tmp_path):
         path = tmp_path / "povm.json"
         data = states.to_json_dict(sic.tetrahedral_povm())

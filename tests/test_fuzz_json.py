@@ -1,6 +1,7 @@
-"""Property tests of the JSON loaders: whatever a file holds, a loader returns
-a valid object or raises InfopowerError, and the CLI exits 0 or 2 with one
-`error:` line; nothing else escapes."""
+"""Property tests of the JSON loaders and of the library's array arguments:
+whatever a file or an argument holds, a loader or a call returns a valid
+object or raises InfopowerError, and the CLI exits 0 or 2 with one `error:`
+line; nothing else escapes."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from infopower import sic, states
+from infopower import hilbert, infotheory, sic, states
 from infopower.cli import main
 from infopower.errors import InfopowerError
 
@@ -157,3 +158,55 @@ def test_mutinfo_exits_0_or_2_with_one_error_line(fuzz_file, content):
         assert code == 2 and not out.getvalue()
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error:")
+
+
+# array arguments as Python nests: bounded floats (huge finite entries make
+# numpy warn of overflow), int64 ints, bools, non-numeric strings, None, an
+# int too large for a float, and lists that may be ragged
+array_leaves = (
+    st.floats(-1e6, 1e6)
+    | st.integers(-(2**63), 2**63 - 1)
+    | st.booleans()
+    | st.sampled_from(["", "a", "x1", None, 10**400])
+)
+
+
+@st.composite
+def regular_nests(draw):
+    """A nest of lists of one shape, as a vector, matrix or stack is; about
+    half of them square in their last two axes."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        shape[-2:] = [shape[-1]] * min(len(shape), 2)
+
+    def build(dims):
+        if not dims:
+            return draw(array_leaves)
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    return build(shape)
+
+
+array_nests = regular_nests() | st.recursive(
+    array_leaves, lambda inner: st.lists(inner, max_size=3), max_leaves=12
+)
+ARRAY_CALLS = [
+    hilbert.check_hermitian,
+    hilbert.check_state_vector,
+    infotheory.shannon_entropy,
+    infotheory.JointDistribution,
+    states.Povm,
+    states.Ensemble,
+    lambda x: infotheory.index_of_coincidence(sic.tetrahedral_povm(), x),
+    lambda x: infotheory.outcome_distribution(sic.tetrahedral_povm(), x),
+]
+
+
+@FUZZ
+@hypothesis.given(array_nests)
+def test_array_argument_returns_or_raises_infopower_error(x):
+    for call in ARRAY_CALLS:
+        try:
+            call(x)
+        except InfopowerError:
+            pass

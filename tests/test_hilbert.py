@@ -1,8 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from infopower import hilbert
-from infopower.errors import InfopowerError, InvalidOperator, InvalidState, NotPositive
+from infopower import hilbert, infotheory, optimize, sic, states
+from infopower.errors import (
+    InfopowerError, InvalidDistribution, InvalidOperator, InvalidState, NotPositive
+)
 from infopower.hilbert import (
     KERNEL_TOL,
     RECON_TOL,
@@ -10,7 +14,6 @@ from infopower.hilbert import (
     op_inv_sqrt,
     op_sqrt,
     outer,
-    support_projector,
 )
 
 from conftest import random_hermitian
@@ -126,7 +129,7 @@ class TestOpInvSqrt:
             weights = rng.uniform(0.1, 2.0, size=r)
             op = (basis * weights) @ basis.conj().T
             inv = op_inv_sqrt(op)
-            proj = support_projector(op)
+            proj = basis @ basis.conj().T
             assert np.linalg.norm(inv @ op @ inv - proj) <= RECON_TOL
             assert np.sum(np.linalg.eigvalsh(op) > KERNEL_TOL) == r
 
@@ -165,6 +168,41 @@ def test_non_finite_input_is_rejected(bad):
     for fn in (hilbert.check_hermitian, eigh, op_sqrt, op_inv_sqrt):
         with pytest.raises(InfopowerError, match="non-finite"):
             fn(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+RAGGED = [[1, 0], [0]]
+HUGE = 10**400  # a Python int too large for a float
+POVM = sic.tetrahedral_povm()
+
+
+# each argument fails numpy's conversion: a ragged nest, a non-number string,
+# or an int too large for a float
+@pytest.mark.parametrize(
+    "fn, arg, err",
+    [
+        (hilbert.check_hermitian, RAGGED, InvalidOperator),
+        (eigh, [[1, "a"], [0, 1]], InvalidOperator),
+        (op_sqrt, RAGGED, InvalidOperator),
+        (op_inv_sqrt, [[HUGE, 0], [0, 1]], InvalidOperator),
+        (hilbert.support_basis, [["x", 0], [0, 1]], InvalidOperator),
+        (hilbert.check_state_vector, [1, [0]], InvalidState),
+        (outer, ["a", 0], InvalidState),
+        (partial(infotheory.index_of_coincidence, POVM), RAGGED, InvalidOperator),
+        (partial(states.pretty_good_ensemble, POVM), [[0.5, "x"], [0, 0.5]], InvalidOperator),
+        (partial(states.restrict_to_support, POVM), [[HUGE, 0], [0, 0]], InvalidOperator),
+        (partial(infotheory.outcome_distribution, POVM), [1, [0]], InvalidState),
+        (partial(infotheory.conditional_output_entropy, POVM), ["a", 0], InvalidState),
+        (partial(optimize.output_entropy_gradient, POVM), [HUGE, 0], InvalidState),
+        (sic.wh_covariant_povm, [RAGGED, 1], InvalidState),
+        (infotheory.shannon_entropy, ["a", 1], InvalidDistribution),
+        (infotheory.shannon_entropy, [HUGE, 0], InvalidDistribution),
+        (infotheory.JointDistribution, [[0.5], [0.25, 0.25]], InvalidDistribution),
+    ],
+    ids=lambda v: getattr(getattr(v, "func", v), "__name__", None),
+)
+def test_unconvertible_argument_raises_its_typed_error(fn, arg, err):
+    with pytest.raises(err, match="not an array of numbers|not a matrix"):
+        fn(arg)
 
 
 def test_support_basis_spans_support():
@@ -218,7 +256,7 @@ def test_degenerate_spectra(d, name):
     vals2, vecs2 = eigh(op.copy())
     assert np.array_equal(vals, vals2) and np.array_equal(vecs, vecs2)
     basis = hilbert.support_basis(op)
-    proj = support_projector(op)
+    proj = (unitary * (spec > 0)) @ unitary.conj().T
     assert basis.shape == (d, np.count_nonzero(spec))
     assert np.max(np.abs(basis @ basis.conj().T - proj)) <= RECON_TOL
     root = op_sqrt(op)

@@ -111,6 +111,15 @@ class TestJointDistribution:
         with pytest.raises(DimMismatch):
             joint_distribution(sic.antitetrahedral_ensemble(), sic.qutrit_sic_povm())
 
+    def test_tolerances_of_a_valid_pair_add(self):
+        # each trace sum and the effect sum sit 9e-10 from 1 and I, inside
+        # SUM_TOL; their product's total, 1 + 1.8e-9, is not
+        e = Ensemble([np.diag([0.50000000045, 0.0]), np.diag([0.0, 0.50000000045])])
+        p = Povm([np.diag([1.0000000009, 0.0]), np.diag([0.0, 1.0000000009])])
+        j = joint_distribution(e, p)
+        assert abs(j.probs.sum() - 1.0) <= 1e-15
+        assert mutual_information(j) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMutualInformation:
     def test_corollary_qubit(self):
