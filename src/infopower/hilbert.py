@@ -46,7 +46,8 @@ def check_state_vector(amplitudes) -> np.ndarray:
     v = _as_array(amplitudes, complex, InvalidState)
     if v.ndim != 1 or v.size == 0:
         raise InvalidState(f"expected a nonempty vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # entries near the float maximum: norm inf
+        norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= NORM_TOL:
         raise InvalidState(f"vector norm {norm} is not 1 within {NORM_TOL}")
     return v

@@ -4,6 +4,9 @@ and evaluators for every closed-form dimensional bound.
 _born (Born probabilities of stacked pure states), _divergence_bits (relative
 entropy D(q || r) of every row of a stack of distributions) and _entropy_bits
 (-D(q || 1)) are the one definition of each quantity; the optimizers import them.
+_born reads a POVM through its factor K (Povm.factor): <psi|E_y|psi> is the
+sum of |K_r psi|^2 over the rows r of outcome y, O(R d) per state for R rows
+in place of O(n d^2), and R = n for a rank-one POVM.
 All quantities are in bits, with 0*log(0) = 0: probabilities at or below 1e-15
 are zeros here, and at or below optimize._LOG_FLOOR (1e-18) in the see-saw.
 """
@@ -15,7 +18,7 @@ import numpy as np
 from . import hilbert
 from .errors import DimMismatch, InvalidDimension, InvalidDistribution
 from .hilbert import PSD_TOL, _as_array
-from .states import SUM_TOL, Ensemble, Povm, _check_density
+from .states import SUM_TOL, Ensemble, Povm, PovmFactor, _check_density
 
 _ZERO_PROB = 1e-15
 
@@ -26,16 +29,24 @@ EULER_GAMMA = float(np.euler_gamma)
 # the leading ones, so a call serves one state or distribution, or a stack.
 
 
-def _born(effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <psi|E_y|psi>: states (..., d) -> (..., n)."""
-    return np.maximum(np.einsum("yij,...i,...j->...y", effects, psis.conj(), psis).real, 0.0)
+def _born(factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
+    """Outcome probabilities <psi|E_y|psi> = |K psi|^2, summed over the rows
+    of each outcome when the factor has segments: states (..., d) -> (..., n).
+    Each state is multiplied on its own, so a state in a stack rounds as it
+    does alone; the squared moduli are never negative."""
+    a = (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+    p = a.real**2 + a.imag**2
+    if factor.segments is None:
+        return p
+    return (p[..., None, :] @ factor.segments)[..., 0, :]
 
 
 def _nonnegative(h: np.ndarray) -> np.ndarray:
     """h with every entry at or below zero read as +0.0: an entropy of a point
-    mass sums to +0.0 and is negated to -0.0, and a Born probability of
-    1 + eps gives one just below zero. Entries above zero keep every bit;
-    NaN passes through."""
+    mass sums to +0.0 and is negated to -0.0, and a Born probability that
+    rounds to 1 + eps, as |K psi|^2 of a state on one effect's support can,
+    gives one just below zero. Entries above zero keep every bit; NaN passes
+    through."""
     return np.maximum(h, 0.0) + 0.0
 
 
@@ -118,7 +129,7 @@ def outcome_distribution(p: Povm, psi) -> np.ndarray:
     psi = hilbert.check_state_vector(psi)
     if len(psi) != p.dim:
         raise DimMismatch(f"state dim {len(psi)} != POVM dim {p.dim}")
-    return _born(p.effects, psi)
+    return _born(p.factor, psi)
 
 
 def conditional_output_entropy(p: Povm, psi) -> float:

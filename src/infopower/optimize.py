@@ -30,7 +30,7 @@ from . import hilbert
 from .errors import InvalidInput
 from .infotheory import _born, _check_count, _divergence_bits, _entropy_bits, _nonnegative
 from .infotheory import outcome_distribution
-from .states import Povm
+from .states import Povm, PovmFactor
 
 CONV_TOL = 1e-10
 GRAD_TOL = 1e-8
@@ -122,11 +122,19 @@ def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
 
 # Kernels on stacked pure states: every function maps the trailing axis and
 # broadcasts over the leading ones, so a call serves one state or all starts.
+# The Born probabilities (infotheory._born) and their gradient read the POVM
+# through its factor K (Povm.factor), E_y the sum of K_r^+ K_r over the rows
+# r of outcome y: two matmuls of a state with K, O(R d) per state.
 
 
-def _effect_gradient(coef: np.ndarray, effects: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Euclidean gradient 2 sum_y coef_y E_y psi of sum_y f(q_y), coef = f'(q)."""
-    return 2.0 * np.einsum("...y,yij,...j->...i", coef, effects, psis)
+def _effect_gradient(coef: np.ndarray, factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
+    """Euclidean gradient 2 sum_y coef_y E_y psi = 2 K^+ (c * K psi) of
+    sum_y f(q_y), coef = f'(q) and c_r = coef_y for every row r of outcome y.
+    Each state is multiplied on its own, as in infotheory._born."""
+    if factor.segments is not None:
+        coef = (coef[..., None, :] @ factor.segments.T)[..., 0, :]
+    a = (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+    return 2.0 * ((coef * a)[..., None, :] @ factor.rows.conj())[..., 0, :]
 
 
 def _divergence_coef(q: np.ndarray, r) -> np.ndarray:
@@ -171,7 +179,7 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     q = outcome_distribution(p, psi)  # checks the state and its dimension
     psi = np.asarray(psi, dtype=complex)
     # the entropy is -D(q || 1)
-    return _project_tangent(psi, _effect_gradient(-_divergence_coef(q, 1.0), p.effects, psi))
+    return _project_tangent(psi, _effect_gradient(-_divergence_coef(q, 1.0), p.factor, psi))
 
 
 def _sphere_step(objective, psi, g, value, aux, step):
@@ -270,23 +278,24 @@ def _riemannian_descent(objective, gradient, psi):
     return psi, value, iterations, converged
 
 
-def _divergence_search(effects, ref, rngs, restarts):
+def _divergence_search(factor, ref, rngs, restarts):
     """For every row r of the references ref (k, n) or (k, 1), floored at
     _LOG_FLOOR, the pure state maximizing D(Born(psi) || r) in bits (with
     r = 1, -D is the outcome entropy): -D descends from `restarts` Haar
     states drawn from the row's stream in rngs, all as one stack, and the
     row keeps its best descent. Returns (states (k, d), divergences,
-    iterations, converged), one entry per row."""
+    iterations, converged), one entry per row. factor is the POVM's
+    Povm.factor."""
     ref = np.repeat(np.maximum(ref, _LOG_FLOOR), restarts, axis=0)
-    dim = effects.shape[-1]
+    dim = factor.rows.shape[-1]
     psi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
 
     def objective(psi, rows):
-        q = _born(effects, psi)
+        q = _born(factor, psi)
         return -_divergence_bits(q, ref[rows]), q
 
     def gradient(psi, rows, q):
-        return _effect_gradient(-_divergence_coef(q, ref[rows]), effects, psi)
+        return _effect_gradient(-_divergence_coef(q, ref[rows]), factor, psi)
 
     psi, neg_div, iterations, converged = _riemannian_descent(objective, gradient, psi0)
     best = np.argmin(neg_div.reshape(-1, restarts), axis=1) + np.arange(0, len(psi), restarts)
@@ -302,7 +311,7 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     starts = _check_count(starts, 1, InvalidInput, "starts")
     seed = _check_count(seed, 0, InvalidInput, "seed")
     psis, divergence, iterations, converged = _divergence_search(
-        p.effects, np.ones((starts, 1)), _start_rngs(seed, starts), 1
+        p.factor, np.ones((starts, 1)), _start_rngs(seed, starts), 1
     )
     values = _nonnegative(-divergence)
     best = int(np.argmin(values))
@@ -363,19 +372,19 @@ def informational_power_lower_bound(
     seed = _check_count(seed, 0, InvalidInput, "seed")
     d = p.dim
     m = d * d
-    effects = p.effects
 
     if _is_trivial_povm(p):
         # every effect proportional to the identity: no state carries information
         zeros, e0 = np.zeros(starts), np.eye(1, d, dtype=complex)
         return _report(seed, zeros, zeros.astype(int), zeros == 0, np.ones(1), e0, 0)
 
+    factor = p.factor
     rngs = _start_rngs(seed, starts)
     # every start's states (S, m, d), priors (S, m), conditionals (S, m, n)
     # and value; the loop works on the rows listed in live
     psis = np.stack([_haar_from_rng(rng, d, m) for rng in rngs])
     weights = np.full((starts, m), 1.0 / m)
-    cond = _born(effects, psis)
+    cond = _born(factor, psis)
     values = _mutual_information_bits(weights, cond)
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
@@ -394,7 +403,7 @@ def informational_power_lower_bound(
     def neg_information(states, rows):
         # the ascent of I descends -I, which accepts exactly the steps an
         # ascent test would; the priors are the live starts' current ones
-        q = _born(effects, states)
+        q = _born(factor, states)
         return -_mutual_information_bits(weights[live[rows]], q), q
 
     for outer in range(1, MAX_ITER + 1):
@@ -403,7 +412,7 @@ def informational_power_lower_bound(
         neg_value = -_mutual_information_bits(w, c)
         q_bar = np.maximum(_outcome_marginal(w, c), _LOG_FLOOR)[..., None, :]
         coef = w[..., None] * _divergence_coef(c, q_bar)  # dI/dp(y|x) + w_x/ln 2
-        g = _project_tangent(base, _effect_gradient(-coef, effects, base))
+        g = _project_tangent(base, _effect_gradient(-coef, factor, base))
         step = _bb_length(base - prev_psis[live], g - prev_g[live])
         prev_psis[live], prev_g[live] = base, g
         _sphere_step(neg_information, base, g, neg_value, c, step)
@@ -417,7 +426,7 @@ def informational_power_lower_bound(
             # D(q_phi || q_bar) <= I; a stalled start with no violating state
             # found has converged, a start with one takes it and goes on
             phi, divergence, _, _ = _divergence_search(
-                effects, _outcome_marginal(w, c), [rngs[s] for s in live], _DIVERGENCE_RESTARTS
+                factor, _outcome_marginal(w, c), [rngs[s] for s in live], _DIVERGENCE_RESTARTS
             )
             violated = divergence > value + 10 * CONV_TOL
             converged[live[~violated & stalled]] = True
@@ -426,7 +435,7 @@ def informational_power_lower_bound(
             psis[inj, x] = phi[violated]
             weights[inj, x] = np.maximum(weights[inj, x], 0.05)
             weights[inj] /= weights[inj].sum(axis=1, keepdims=True)
-            cond[inj] = _born(effects, psis[inj])
+            cond[inj] = _born(factor, psis[inj])
             values[inj] = _mutual_information_bits(weights[inj], cond[inj])
             keep_best(inj)
             # the ensemble changed under the start: its next step tries 1

@@ -4,12 +4,15 @@ and the JSON file schema shared with the CLI.
 An ensemble stores sub-normalized states (each trace is the preparation
 probability), so the pretty-good maps are single sandwich products. Both
 classes hold their elements as one validated, read-only (n, d, d) complex
-array, and every map acts on that array as a whole.
+array, and every map acts on that array as a whole. A POVM's factor, which
+the Born-rule kernels on pure states read, is computed only on first use.
 Zero-trace elements are permitted; they contribute nothing to any entropy.
 Nothing here knows about SIC sets: their renormalizations live in sic.
 """
 
 import json
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from . import hilbert
 from .errors import (
     DimMismatch, InvalidEnsemble, InvalidInput, InvalidOperator, InvalidPovm, InvalidState
 )
-from .hilbert import PSD_TOL
+from .hilbert import KERNEL_TOL, PSD_TOL
 
 SUM_TOL = 1e-9
 
@@ -71,8 +74,25 @@ class Ensemble:
         return np.trace(self.states, axis1=1, axis2=2).real
 
 
+class PovmFactor(NamedTuple):
+    """The effects as E_y = sum of K_r^+ K_r over the rows r of outcome y.
+
+    rows is K (R, d): a row sqrt(lam) v^+ for every eigenpair (lam, v) of
+    every effect with lam above hilbert.KERNEL_TOL, the rows of outcome 0
+    first, then those of outcome 1, and so on, so <psi|E_y|psi> is the sum
+    of |K_r psi|^2 over the rows of y. segments is the 0/1 matrix (R, n)
+    whose entry (r, y) is 1 when row r belongs to outcome y, or None when
+    row y is the one row of outcome y, as for every rank-one POVM. A zero
+    effect has no rows. Both arrays are read-only.
+    """
+
+    rows: np.ndarray
+    segments: Optional[np.ndarray]
+
+
 class Povm:
-    """Positive effects (n, d, d), read-only, summing to the identity."""
+    """Positive effects (n, d, d), read-only, summing to the identity, and
+    their factor (PovmFactor), computed once on first use."""
 
     def __init__(self, effects):
         self.effects = _check_elements(effects, InvalidPovm)
@@ -83,6 +103,21 @@ class Povm:
 
     def __len__(self):
         return len(self.effects)
+
+    @cached_property
+    def factor(self) -> PovmFactor:
+        """The factor of the effects, from one batched eigendecomposition on
+        first use."""
+        vals, vecs = np.linalg.eigh(self.effects)
+        keep = vals > KERNEL_TOL  # (n, d): eigenpair k of effect y
+        rows = np.sqrt(vals[keep])[:, None] * vecs.swapaxes(1, 2)[keep].conj()
+        outcome = np.nonzero(keep)[0]
+        segments = None
+        if not np.array_equal(outcome, np.arange(len(self))):
+            segments = (outcome[:, None] == np.arange(len(self))).astype(float)
+            segments.flags.writeable = False
+        rows.flags.writeable = False
+        return PovmFactor(rows, segments)
 
 
 def average_state(e: Ensemble) -> np.ndarray:

@@ -167,6 +167,23 @@ class TestMutinfo:
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error:") and "non-finite" in done.stderr
 
+    def test_fiducial_whose_norm_overflows_prints_one_error_line(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"kind": "fiducial", "dim": 2, "amplitudes": [[1e308, 0], [1e308, 0]]})
+        )
+        # a child process, so stderr holds whatever numpy would warn
+        done = subprocess.run(
+            [sys.executable, "-m", "infopower.cli", "minent", "--fiducial", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error:") and "norm inf" in done.stderr
+
     def test_pair_whose_tolerances_add_is_accepted(self, capsys, tmp_path):
         # traces sum to 1 + 9e-10 and effects to (1 + 9e-10) I: each file is
         # valid, and the pair's joint distribution sums to 1 + 1.8e-9

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -168,6 +169,14 @@ def test_non_finite_input_is_rejected(bad):
     for fn in (hilbert.check_hermitian, eigh, op_sqrt, op_inv_sqrt):
         with pytest.raises(InfopowerError, match="non-finite"):
             fn(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_norm_that_overflows_is_rejected_without_a_warning():
+    # each entry is finite, but the squared norm overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match="norm inf"):
+            hilbert.check_state_vector([1e308, 1e308])
 
 
 RAGGED = [[1, 0], [0]]

@@ -43,6 +43,8 @@ from infopower.optimize import (
 )
 from infopower.states import Ensemble, Povm, load_fiducial
 
+from conftest import SHIPPED_D4_FIDUCIAL
+
 
 class TestHaarSampler:
     def test_determinism(self):
@@ -217,7 +219,7 @@ class TestDivergenceDescent:
         n = len(p.effects)
         rngs = [np.random.default_rng(seed) for seed in range(4)]
         q_bar = np.full((len(rngs), n), 1.0 / n)
-        phi, divergence, _, _ = optimize._divergence_search(p.effects, q_bar, rngs, 3)
+        phi, divergence, _, _ = optimize._divergence_search(p.factor, q_bar, rngs, 3)
         for state, value in zip(phi, divergence):
             deficit = np.log2(n) - conditional_output_entropy(p, state)
             assert value == pytest.approx(deficit, rel=0, abs=1e-12)
@@ -263,10 +265,14 @@ class TestInformationalPower:
         assert max(report.iterations_per_start) < MAX_ITER
         np.testing.assert_allclose(report.values_per_start, np.log2(3 / 2), rtol=0, atol=1e-6)
 
-    def test_basis_povm_reaches_log_d(self):
-        p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        report = informational_power_lower_bound(p, starts=10, seed=1)
-        assert report.best_value == pytest.approx(1.0, abs=1e-8)
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_basis_povm_reaches_log_d(self, d):
+        # the rank-one floor is tight here: a basis measurement's power is
+        # log2 d, reached by the basis ensemble, at every d
+        p = Povm(list(np.eye(d)[:, None, :] * np.eye(d)[:, :, None]))
+        report = informational_power_lower_bound(p, starts=4, seed=1)
+        assert report.best_value == pytest.approx(np.log2(d), rel=0, abs=1e-12)
+        assert report.converged_starts == 4
 
     @pytest.mark.parametrize("d, starts, seed", [(2, 6, 1), (3, 4, 2)])
     def test_povm_with_a_zero_effect(self, d, starts, seed):
@@ -421,6 +427,76 @@ class TestFirstOrderSchedule:
             assert values[n, s] - values[n - 1, s] < CONV_TOL
 
 
+def _random_wh_povm(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return sic.wh_covariant_povm(z / np.linalg.norm(z))
+
+
+def _basis_povm_with_a_zero_effect(d):
+    return Povm(list(np.eye(d)[:, None, :] * np.eye(d)[:, :, None]) + [np.zeros((d, d))])
+
+
+class TestFactoredKernels:
+    """Born probabilities and their gradient through Povm.factor agree with
+    the sums over the effects they replace, on every kind of factor."""
+
+    # (POVM, rows R of its factor): R = n for the rank-one POVMs, n d for the
+    # full-rank one, and no row for the zero effect
+    POVMS = {
+        "tetrahedral": (sic.tetrahedral_povm, 4),
+        "qutrit": (sic.qutrit_sic_povm, 9),
+        "d4-sic": (lambda: sic.wh_covariant_povm(load_fiducial(SHIPPED_D4_FIDUCIAL)), 16),
+        "d8-wh": (lambda: _random_wh_povm(8, 11), 64),
+        "approximant": (lambda: uniform_povm_approximant(3, 9, seed=5), 9),
+        "near-trivial": (
+            lambda: Povm([np.diag([0.5 + 1e-8, 0.5 - 1e-8]), np.diag([0.5 - 1e-8, 0.5 + 1e-8])]),
+            4,
+        ),
+        "basis-and-zero": (lambda: _basis_povm_with_a_zero_effect(3), 3),
+    }
+    SHAPES = [(), (5,), (3, 4)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("name", sorted(POVMS))
+    def test_matches_the_sums_over_the_effects(self, name, shape):
+        build, _ = self.POVMS[name]
+        p = build()
+        n, d = len(p), p.dim
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=shape + (d,)) + 1j * rng.normal(size=shape + (d,))
+        psis = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        coef = rng.normal(size=shape + (n,))
+        born = np.einsum("yij,...i,...j->...y", p.effects, psis.conj(), psis).real
+        grad = 2.0 * np.einsum("...y,yij,...j->...i", coef, p.effects, psis)
+        assert infotheory._born(p.factor, psis).shape == shape + (n,)
+        np.testing.assert_allclose(infotheory._born(p.factor, psis), born, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            _effect_gradient(coef, p.factor, psis), grad, rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("name", sorted(POVMS))
+    def test_factor_is_read_only_and_computed_once_on_first_use(self, name):
+        build, rows = self.POVMS[name]
+        p = build()
+        assert "factor" not in vars(p)
+        factor = p.factor
+        assert p.factor is factor
+        assert factor.rows.shape == (rows, p.dim)
+        assert (factor.segments is None) == (rows == len(p))
+        for a in factor:
+            if a is not None:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+
+    def test_zero_effect_has_no_rows_and_probability_zero(self):
+        p = _basis_povm_with_a_zero_effect(3)
+        psi = np.ones(3) / np.sqrt(3)
+        assert p.factor.segments[:, 3].tolist() == [0.0, 0.0, 0.0]
+        assert infotheory._born(p.factor, psi)[3] == 0.0
+
+
 class TestGradient:
     def test_rejects_a_state_of_another_dimension(self):
         with pytest.raises(DimMismatch):
@@ -474,9 +550,8 @@ class TestGradient:
             cond = np.array([infotheory.outcome_distribution(p, v) for v in psis])
             if np.min(cond) < 1e-3 or np.min(w) < 1e-3:
                 continue
-            effects = p.effects
             coef = w[:, None] * _divergence_coef(cond, _outcome_marginal(w, cond))
-            grad = _project_tangent(psis, _effect_gradient(coef, effects, psis))
+            grad = _project_tangent(psis, _effect_gradient(coef, p.factor, psis))
             num = np.zeros((m, d), dtype=complex)
             for x in range(m):
                 for k in range(d):
@@ -775,7 +850,10 @@ class TestBatchedStarts:
     # from the sphere step that first tries the Barzilai-Borwein length of
     # each row's (each ensemble's) last move; the see-saw entries are those
     # of the block see-saw, which ascends all states of an ensemble in one step
-    # and checks first-order optimality every _CHECK_EVERY iterations
+    # and checks first-order optimality every _CHECK_EVERY iterations. The
+    # iteration counts are those of Born probabilities and gradients taken
+    # through the POVM's factor: a kernel that rounds differently can move a
+    # start's stop by one check or one step.
     SERIAL = {
         "power-tetrahedral": (
             [
@@ -786,7 +864,7 @@ class TestBatchedStarts:
                 0.41503749927884354,
                 0.4150374992788435,
             ],
-            [25, 20, 20, 20, 30, 20],
+            [20, 20, 20, 20, 30, 20],
         ),
         "power-qutrit": (
             [0.5849625007210755, 0.5849625007211562, 0.5849625004150371, 0.5849625007211561],
@@ -802,7 +880,7 @@ class TestBatchedStarts:
                 2.66828063807335, 2.6682806380678903, 2.5849625007252,
                 2.668280638067339, 2.584962500721312,
             ],
-            [7, 17, 15, 14, 24, 17, 18, 25, 18, 22, 22, 23, 12, 13, 21, 19, 21, 13, 50, 12],
+            [7, 17, 15, 14, 24, 17, 18, 25, 18, 22, 22, 23, 12, 13, 21, 19, 21, 13, 49, 12],
         ),
     }
     CALLS = {
