@@ -29,12 +29,17 @@ EULER_GAMMA = float(np.euler_gamma)
 # the leading ones, so a call serves one state or distribution, or a stack.
 
 
+def _amplitudes(factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
+    """K psi of every state: (..., d) -> (..., R). Each state is multiplied
+    on its own, so a state in a stack rounds as it does alone."""
+    return (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+
+
 def _born(factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
     """Outcome probabilities <psi|E_y|psi> = |K psi|^2, summed over the rows
     of each outcome when the factor has segments: states (..., d) -> (..., n).
-    Each state is multiplied on its own, so a state in a stack rounds as it
-    does alone; the squared moduli are never negative."""
-    a = (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+    The squared moduli are never negative."""
+    a = _amplitudes(factor, psis)
     p = a.real**2 + a.imag**2
     if factor.segments is None:
         return p

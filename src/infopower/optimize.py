@@ -28,8 +28,8 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidInput
-from .infotheory import _born, _check_count, _divergence_bits, _entropy_bits, _nonnegative
-from .infotheory import outcome_distribution
+from .infotheory import _amplitudes, _born, _check_count, _divergence_bits, _entropy_bits
+from .infotheory import _nonnegative, outcome_distribution
 from .states import Povm, PovmFactor
 
 CONV_TOL = 1e-10
@@ -130,10 +130,10 @@ def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
 def _effect_gradient(coef: np.ndarray, factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
     """Euclidean gradient 2 sum_y coef_y E_y psi = 2 K^+ (c * K psi) of
     sum_y f(q_y), coef = f'(q) and c_r = coef_y for every row r of outcome y.
-    Each state is multiplied on its own, as in infotheory._born."""
+    Each state is multiplied on its own, as in infotheory._amplitudes."""
     if factor.segments is not None:
         coef = (coef[..., None, :] @ factor.segments.T)[..., 0, :]
-    a = (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+    a = _amplitudes(factor, psis)
     return 2.0 * ((coef * a)[..., None, :] @ factor.rows.conj())[..., 0, :]
 
 
