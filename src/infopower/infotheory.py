@@ -1,12 +1,14 @@
 """Born-rule and entropy kernels, joint distributions, mutual information,
 and evaluators for every closed-form dimensional bound.
 
-_born (Born probabilities of stacked pure states), _divergence_bits (relative
-entropy D(q || r) of every row of a stack of distributions) and _entropy_bits
-(-D(q || 1)) are the one definition of each quantity; the optimizers import them.
-_born reads a POVM through its factor K (Povm.factor): <psi|E_y|psi> is the
-sum of |K_r psi|^2 over the rows r of outcome y, O(R d) per state for R rows
-in place of O(n d^2), and R = n for a rank-one POVM.
+_born (Born probabilities of stacked pure states), _effect_gradient (their
+gradient), _divergence_bits (relative entropy D(q || r) of every row of a
+stack of distributions) and _entropy_bits (-D(q || 1)) are the one definition
+of each quantity; the optimizers import them. Only _born and _effect_gradient
+(through _amplitudes) read the layout of a POVM's factor K (Povm.factor,
+(n, r, d) with E_y = K_y^+ K_y): <psi|E_y|psi> is the squared norm of
+K_y psi, O(n r d) per state in place of O(n d^2), and r = 1 for a rank-one
+POVM.
 All quantities are in bits, with 0*log(0) = 0: probabilities at or below 1e-15
 are zeros here, and at or below optimize._LOG_FLOOR (1e-18) in the see-saw.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from . import hilbert
 from .errors import DimMismatch, InvalidDimension, InvalidDistribution
 from .hilbert import PSD_TOL, _as_array
-from .states import SUM_TOL, Ensemble, Povm, PovmFactor, _check_density
+from .states import SUM_TOL, Ensemble, Povm, _check_density
 
 _ZERO_PROB = 1e-15
 
@@ -29,21 +31,30 @@ EULER_GAMMA = float(np.euler_gamma)
 # the leading ones, so a call serves one state or distribution, or a stack.
 
 
-def _amplitudes(factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
-    """K psi of every state: (..., d) -> (..., R). Each state is multiplied
-    on its own, so a state in a stack rounds as it does alone."""
-    return (psis[..., None, :] @ factor.rows.T)[..., 0, :]
+def _amplitudes(factor: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """K psi of every state for the factor K (n, r, d): (..., d) -> (..., n, r).
+    Each state is multiplied on its own, so a state in a stack rounds as it
+    does alone."""
+    n, r, d = factor.shape
+    a = (psis[..., None, :] @ factor.reshape(n * r, d).T)[..., 0, :]
+    return a.reshape(a.shape[:-1] + (n, r))
 
 
-def _born(factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <psi|E_y|psi> = |K psi|^2, summed over the rows
-    of each outcome when the factor has segments: states (..., d) -> (..., n).
-    The squared moduli are never negative."""
+def _born(factor: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Outcome probabilities <psi|E_y|psi> = |K_y psi|^2: states (..., d) ->
+    (..., n). The squared moduli are never negative."""
     a = _amplitudes(factor, psis)
-    p = a.real**2 + a.imag**2
-    if factor.segments is None:
-        return p
-    return (p[..., None, :] @ factor.segments)[..., 0, :]
+    return (a.real**2 + a.imag**2).sum(axis=-1)
+
+
+def _effect_gradient(coef: np.ndarray, factor: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Euclidean gradient 2 sum_y coef_y E_y psi = 2 K^+ (coef * K psi) of
+    sum_y f(q_y), coef = f'(q) (..., n), states (..., d) -> (..., d), in the
+    per-state form of _amplitudes."""
+    n, r, d = factor.shape
+    c = coef[..., None] * _amplitudes(factor, psis)
+    c = c.reshape(c.shape[:-2] + (n * r,))
+    return 2.0 * (c[..., None, :] @ factor.reshape(n * r, d).conj())[..., 0, :]
 
 
 def _nonnegative(h: np.ndarray) -> np.ndarray:
@@ -129,12 +140,18 @@ def mutual_information(j: JointDistribution) -> float:
     return max(value, 0.0)
 
 
-def outcome_distribution(p: Povm, psi) -> np.ndarray:
-    """Outcome probabilities <psi|Pi_y|psi> of a pure state."""
+def _check_pure_state(p: Povm, psi) -> np.ndarray:
+    """psi as a checked state vector (hilbert.check_state_vector) of the POVM's
+    dimension, DimMismatch otherwise."""
     psi = hilbert.check_state_vector(psi)
     if len(psi) != p.dim:
         raise DimMismatch(f"state dim {len(psi)} != POVM dim {p.dim}")
-    return _born(p.factor, psi)
+    return psi
+
+
+def outcome_distribution(p: Povm, psi) -> np.ndarray:
+    """Outcome probabilities <psi|Pi_y|psi> of a pure state."""
+    return _born(p.factor, _check_pure_state(p, psi))
 
 
 def conditional_output_entropy(p: Povm, psi) -> float:

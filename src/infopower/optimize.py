@@ -28,9 +28,9 @@ import numpy as np
 
 from . import hilbert
 from .errors import InvalidInput
-from .infotheory import _amplitudes, _born, _check_count, _divergence_bits, _entropy_bits
-from .infotheory import _nonnegative, outcome_distribution
-from .states import Povm, PovmFactor
+from .infotheory import _born, _check_count, _check_pure_state, _divergence_bits
+from .infotheory import _effect_gradient, _entropy_bits, _nonnegative
+from .states import Povm
 
 CONV_TOL = 1e-10
 GRAD_TOL = 1e-8
@@ -122,19 +122,10 @@ def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
 
 # Kernels on stacked pure states: every function maps the trailing axis and
 # broadcasts over the leading ones, so a call serves one state or all starts.
-# The Born probabilities (infotheory._born) and their gradient read the POVM
-# through its factor K (Povm.factor), E_y the sum of K_r^+ K_r over the rows
-# r of outcome y: two matmuls of a state with K, O(R d) per state.
-
-
-def _effect_gradient(coef: np.ndarray, factor: PovmFactor, psis: np.ndarray) -> np.ndarray:
-    """Euclidean gradient 2 sum_y coef_y E_y psi = 2 K^+ (c * K psi) of
-    sum_y f(q_y), coef = f'(q) and c_r = coef_y for every row r of outcome y.
-    Each state is multiplied on its own, as in infotheory._amplitudes."""
-    if factor.segments is not None:
-        coef = (coef[..., None, :] @ factor.segments.T)[..., 0, :]
-    a = _amplitudes(factor, psis)
-    return 2.0 * ((coef * a)[..., None, :] @ factor.rows.conj())[..., 0, :]
+# The Born probabilities (infotheory._born) and their gradient
+# (infotheory._effect_gradient) read the POVM through its factor K
+# (Povm.factor), which the searches pass along: two matmuls of a state with
+# K, O(n r d) per state.
 
 
 def _divergence_coef(q: np.ndarray, r) -> np.ndarray:
@@ -176,10 +167,10 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
 
 def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     """Riemannian gradient of the outcome entropy at a pure state."""
-    q = outcome_distribution(p, psi)  # checks the state and its dimension
-    psi = np.asarray(psi, dtype=complex)
+    psi = _check_pure_state(p, psi)
     # the entropy is -D(q || 1)
-    return _project_tangent(psi, _effect_gradient(-_divergence_coef(q, 1.0), p.factor, psi))
+    coef = -_divergence_coef(_born(p.factor, psi), 1.0)
+    return _project_tangent(psi, _effect_gradient(coef, p.factor, psi))
 
 
 def _sphere_step(objective, psi, g, value, aux, step):
@@ -287,7 +278,7 @@ def _divergence_search(factor, ref, rngs, restarts):
     iterations, converged), one entry per row. factor is the POVM's
     Povm.factor."""
     ref = np.repeat(np.maximum(ref, _LOG_FLOOR), restarts, axis=0)
-    dim = factor.rows.shape[-1]
+    dim = factor.shape[-1]
     psi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
 
     def objective(psi, rows):

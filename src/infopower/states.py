@@ -4,15 +4,16 @@ and the JSON file schema shared with the CLI.
 An ensemble stores sub-normalized states (each trace is the preparation
 probability), so the pretty-good maps are single sandwich products. Both
 classes hold their elements as one validated, read-only (n, d, d) complex
-array, and every map acts on that array as a whole. A POVM's factor, which
-the Born-rule kernels on pure states read, is computed only on first use.
+array, and every map acts on that array as a whole. A POVM's factor K
+(n, r, d), with E_y = K_y^+ K_y, is one more such array: the Born-rule
+kernels on pure states (infotheory._born) read it, and it is computed only
+on first use.
 Zero-trace elements are permitted; they contribute nothing to any entropy.
 Nothing here knows about SIC sets: their renormalizations live in sic.
 """
 
 import json
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,25 +75,9 @@ class Ensemble:
         return np.trace(self.states, axis1=1, axis2=2).real
 
 
-class PovmFactor(NamedTuple):
-    """The effects as E_y = sum of K_r^+ K_r over the rows r of outcome y.
-
-    rows is K (R, d): a row sqrt(lam) v^+ for every eigenpair (lam, v) of
-    every effect with lam above hilbert.KERNEL_TOL, the rows of outcome 0
-    first, then those of outcome 1, and so on, so <psi|E_y|psi> is the sum
-    of |K_r psi|^2 over the rows of y. segments is the 0/1 matrix (R, n)
-    whose entry (r, y) is 1 when row r belongs to outcome y, or None when
-    row y is the one row of outcome y, as for every rank-one POVM. A zero
-    effect has no rows. Both arrays are read-only.
-    """
-
-    rows: np.ndarray
-    segments: Optional[np.ndarray]
-
-
 class Povm:
     """Positive effects (n, d, d), read-only, summing to the identity, and
-    their factor (PovmFactor), computed once on first use."""
+    their factor K (n, r, d), computed once on first use."""
 
     def __init__(self, effects):
         self.effects = _check_elements(effects, InvalidPovm)
@@ -105,19 +90,19 @@ class Povm:
         return len(self.effects)
 
     @cached_property
-    def factor(self) -> PovmFactor:
-        """The factor of the effects, from one batched eigendecomposition on
-        first use."""
-        vals, vecs = np.linalg.eigh(self.effects)
+    def factor(self) -> np.ndarray:
+        """K (n, r, d), read-only, with E_y = K_y^+ K_y and r the largest
+        effect rank, from one batched eigendecomposition on first use. Row
+        K[y, k] is sqrt(lam) v^+ for the k-th of the r largest eigenpairs
+        (lam, v) of E_y, or zero where lam is at or below hilbert.KERNEL_TOL,
+        so a lower-rank or zero effect has exact zero rows."""
+        vals, vecs = np.linalg.eigh(self.effects)  # ascending: kept pairs last
         keep = vals > KERNEL_TOL  # (n, d): eigenpair k of effect y
-        rows = np.sqrt(vals[keep])[:, None] * vecs.swapaxes(1, 2)[keep].conj()
-        outcome = np.nonzero(keep)[0]
-        segments = None
-        if not np.array_equal(outcome, np.arange(len(self))):
-            segments = (outcome[:, None] == np.arange(len(self))).astype(float)
-            segments.flags.writeable = False
-        rows.flags.writeable = False
-        return PovmFactor(rows, segments)
+        r = keep.sum(axis=1).max()
+        lam = np.where(keep, vals, 0.0)[:, -r:]
+        factor = np.sqrt(lam)[..., None] * vecs.swapaxes(1, 2)[:, -r:].conj()
+        factor.flags.writeable = False
+        return factor
 
 
 def average_state(e: Ensemble) -> np.ndarray:

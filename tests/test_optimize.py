@@ -437,23 +437,37 @@ def _basis_povm_with_a_zero_effect(d):
     return Povm(list(np.eye(d)[:, None, :] * np.eye(d)[:, :, None]) + [np.zeros((d, d))])
 
 
+def _rank_two_and_one_povm():
+    return Povm([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])
+
+
+def _merged_approximant():
+    # uniform_povm_approximant(4, 16, seed=5) with effects 0-2 merged into one
+    # rank-3 effect: 14 outcomes, ranks 3, 1, ..., 1
+    e = uniform_povm_approximant(4, 16, seed=5).effects
+    return Povm([e[:3].sum(axis=0)] + list(e[3:]))
+
+
 class TestFactoredKernels:
     """Born probabilities and their gradient through Povm.factor agree with
     the sums over the effects they replace, on every kind of factor."""
 
-    # (POVM, rows R of its factor): R = n for the rank-one POVMs, n d for the
-    # full-rank one, and no row for the zero effect
+    # (POVM, largest effect rank r): the factor is (n, r, d), r = 1 for the
+    # rank-one POVMs and the zero effect, and lower-rank effects of the
+    # mixed-rank POVMs are padded with zero rows
     POVMS = {
-        "tetrahedral": (sic.tetrahedral_povm, 4),
-        "qutrit": (sic.qutrit_sic_povm, 9),
-        "d4-sic": (lambda: sic.wh_covariant_povm(load_fiducial(SHIPPED_D4_FIDUCIAL)), 16),
-        "d8-wh": (lambda: _random_wh_povm(8, 11), 64),
-        "approximant": (lambda: uniform_povm_approximant(3, 9, seed=5), 9),
+        "tetrahedral": (sic.tetrahedral_povm, 1),
+        "qutrit": (sic.qutrit_sic_povm, 1),
+        "d4-sic": (lambda: sic.wh_covariant_povm(load_fiducial(SHIPPED_D4_FIDUCIAL)), 1),
+        "d8-wh": (lambda: _random_wh_povm(8, 11), 1),
+        "approximant": (lambda: uniform_povm_approximant(3, 9, seed=5), 1),
         "near-trivial": (
             lambda: Povm([np.diag([0.5 + 1e-8, 0.5 - 1e-8]), np.diag([0.5 - 1e-8, 0.5 + 1e-8])]),
-            4,
+            2,
         ),
-        "basis-and-zero": (lambda: _basis_povm_with_a_zero_effect(3), 3),
+        "basis-and-zero": (lambda: _basis_povm_with_a_zero_effect(3), 1),
+        "rank-2-and-1": (_rank_two_and_one_povm, 2),
+        "merged-approximant": (_merged_approximant, 3),
     }
     SHAPES = [(), (5,), (3, 4)]
 
@@ -477,24 +491,39 @@ class TestFactoredKernels:
 
     @pytest.mark.parametrize("name", sorted(POVMS))
     def test_factor_is_read_only_and_computed_once_on_first_use(self, name):
-        build, rows = self.POVMS[name]
+        build, rank = self.POVMS[name]
         p = build()
         assert "factor" not in vars(p)
         factor = p.factor
         assert p.factor is factor
-        assert factor.rows.shape == (rows, p.dim)
-        assert (factor.segments is None) == (rows == len(p))
-        for a in factor:
-            if a is not None:
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0, 0] = 1.0
+        assert factor.shape == (len(p), rank, p.dim)
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0, 0] = 1.0
 
     def test_zero_effect_has_no_rows_and_probability_zero(self):
+        # the zero effect's one row of the factor is a zero row
         p = _basis_povm_with_a_zero_effect(3)
         psi = np.ones(3) / np.sqrt(3)
-        assert p.factor.segments[:, 3].tolist() == [0.0, 0.0, 0.0]
+        assert not p.factor[3].any()
         assert infotheory._born(p.factor, psi)[3] == 0.0
+
+
+class TestMixedRankOracle:
+    """On the POVM {diag(1, 1, 0), diag(0, 0, 1)} a basis ensemble reaches the
+    informational power W = 1 bit, and diag(0, 0, 1)'s state gives outcome
+    entropy H_min = 0; both searches find them from every seed tried."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_see_saw_reaches_one_bit(self, seed):
+        r = informational_power_lower_bound(_rank_two_and_one_povm(), starts=4, seed=seed)
+        assert abs(r.best_value - 1.0) < 1e-10
+        assert r.converged_starts == 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_min_output_entropy_reaches_zero(self, seed):
+        r = min_output_entropy(_rank_two_and_one_povm(), starts=4, seed=seed)
+        assert abs(r.best_value) < 1e-10
 
 
 class TestGradient:
