@@ -44,7 +44,7 @@ _DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
 _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
-_CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk: 1 MiB of float64
+_CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk buffer: 1 MiB of float64
 
 RNG_ALGORITHM = "pcg64"
 
@@ -93,10 +93,11 @@ class OptimizationReport:
 def _report(seed, values, iterations, converged, weights, states, best) -> OptimizationReport:
     """Report of a multi-start search from its per-start values, iterations
     and converged flags (starts,); weights (m,) and states (m, d) are the
-    ensemble of start best."""
+    ensemble of start best. The states are copied: they may be rows of the
+    whole start stack, which the report would otherwise keep alive."""
     return OptimizationReport(
         best_value=float(values[best]),
-        best_states=list(zip(weights.tolist(), states)),
+        best_states=list(zip(weights.tolist(), np.array(states))),
         starts=len(values),
         converged_starts=int(converged.sum()),
         iterations_per_start=iterations.tolist(),
@@ -454,9 +455,14 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     exponentials divided by their sum (Wootters 1990). So each sample is
     drawn as such a normalized exponential row, and no state is built.
     Samples are drawn and reduced max(1, _CHUNK_ENTRIES // d) rows at a time
-    in two buffers allocated once, so memory stays at two cache-sized buffers
-    (two rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and
-    the dimension.
+    in three buffers allocated once: a worker thread draws chunk i+1 into one
+    of two draw buffers while the caller reduces chunk i from the other, with
+    the third for its log2 pass. One generator draws every chunk, in order,
+    so the estimate is the same as a serial pass over one stream. Memory
+    stays at three cache-sized buffers (three rows when d exceeds
+    _CHUNK_ENTRIES) whatever the sample count and the dimension. The worker
+    is joined before the call returns or raises, and an exception from a
+    draw is raised from the call.
     """
     d = _check_count(d, 2)
     samples = _check_count(samples, d * d, what="samples")
@@ -464,19 +470,31 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, _CHUNK_ENTRIES // d), samples)
-    e_buf, log_buf = np.empty((rows, d)), np.empty((rows, d))
+    e_bufs, log_buf = np.empty((2, rows, d)), np.empty((rows, d))
+    draws = [
+        e_bufs[i % 2, : min(rows, samples - done)]
+        for i, done in enumerate(range(0, samples, rows))
+    ]
     q_sum = np.zeros(d)
     entropy_sum = 0.0
-    for done in range(0, samples, rows):
-        n = min(rows, samples - done)
-        e, log_e = e_buf[:n], log_buf[:n]
-        rng.standard_exponential(out=e)
-        t = e.sum(axis=1)
-        # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
-        # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
-        np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
-        q_sum += (1.0 / t) @ e
-        entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))
+    # imported here: concurrent.futures loads logging, which nothing else in
+    # the package needs, so `import infopower` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # numpy releases the GIL while it draws and reduces, so the two overlap
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(rng.standard_exponential, out=draws[0])
+        for i, e in enumerate(draws):
+            pending.result()
+            if i + 1 < len(draws):
+                pending = worker.submit(rng.standard_exponential, out=draws[i + 1])
+            log_e = log_buf[: len(e)]
+            t = e.sum(axis=1)
+            # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
+            # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
+            np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
+            q_sum += (1.0 / t) @ e
+            entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))
     value = float(_entropy_bits(q_sum / samples)) - entropy_sum / samples
     return max(value, 0.0)
 

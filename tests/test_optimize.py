@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -942,6 +944,36 @@ class TestBatchedStarts:
         with pytest.raises(InvalidInput):
             solver(p, starts=2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "solver, starts",
+        [(min_output_entropy, 100), (informational_power_lower_bound, 24)],
+        ids=["minent", "power"],
+    )
+    def test_report_owns_only_the_states_it_reports(self, solver, starts):
+        # the reported rows must not be views that keep the whole
+        # (starts, d) or (starts, m, d) stack of the search alive
+        report = solver(sic.qutrit_sic_povm(), starts=starts, seed=1)
+        states = [v for _, v in report.best_states]
+        owned = len(states) * len(states[0])
+        assert all(v.base is None or v.base.size <= owned for v in states)
+
+
+def _serial_scrooge(d, samples, seed):
+    """Reference: the Monte-Carlo floor drawn and reduced chunk by chunk on
+    one thread, from the same stream in the same order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = min(max(1, optimize._CHUNK_ENTRIES // d), samples)
+    q_sum = np.zeros(d)
+    entropy_sum = 0.0
+    for done in range(0, samples, rows):
+        e = np.empty((min(rows, samples - done), d))
+        rng.standard_exponential(out=e)
+        t = e.sum(axis=1)
+        log_e = np.log2(np.maximum(e, optimize._LOG_FLOOR))
+        q_sum += (1.0 / t) @ e
+        entropy_sum += float(np.sum(np.log2(t) - optimize._row_dot(e, log_e) / t))
+    return max(float(infotheory._entropy_bits(q_sum / samples)) - entropy_sum / samples, 0.0)
+
 
 class TestScroogeEstimate:
     def test_d2_converges_to_closed_form(self):
@@ -1024,6 +1056,93 @@ class TestScroogeEstimate:
         assert scrooge_lower_bound_estimate(2, 1000, 3) == scrooge_lower_bound_estimate(
             2, 1000, 3
         )
+
+    @pytest.mark.parametrize(
+        "d, samples, seed, budget",
+        [
+            (64, 100_000, 0, None),
+            (64, 100_000, 1, None),
+            (64, 100_000, 2, None),
+            (4, 2 * (optimize._CHUNK_ENTRIES // 4) + 123, 5, None),
+            (2, 4, 0, None),
+            (128, 16_384, 6, None),
+            (100, 10_001, 3, 64),
+        ],
+        ids=[
+            "d64-seed0",
+            "d64-seed1",
+            "d64-seed2",
+            "two-chunks-and-a-part",
+            "d2-minimal",
+            "d128",
+            "one-row-chunks",
+        ],
+    )
+    def test_pipeline_equals_the_serial_chunk_loop(self, monkeypatch, d, samples, seed, budget):
+        # the draw thread changes neither the stream nor the reduction order
+        if budget is not None:
+            monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", budget)
+        assert scrooge_lower_bound_estimate(d, samples, seed) == _serial_scrooge(d, samples, seed)
+
+    def test_draw_error_is_raised_and_no_thread_outlives_a_call(self, monkeypatch):
+        before = threading.active_count()
+        scrooge_lower_bound_estimate(16, 1001, seed=1)
+        assert threading.active_count() == before
+
+        real = np.random.Generator
+
+        class FailingGenerator:
+            def __init__(self, bit_generator):
+                self._rng = real(bit_generator)
+                self.calls = 0
+
+            def standard_exponential(self, size=None, out=None):
+                self.calls += 1
+                if self.calls == 2:
+                    raise MemoryError("second chunk")
+                return self._rng.standard_exponential(size=size, out=out)
+
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+        with pytest.raises(MemoryError, match="second chunk"):
+            scrooge_lower_bound_estimate(16, 1001, seed=1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_share_no_state(self, monkeypatch):
+        # four callers at once, each call with its own draw thread, and a
+        # thread switch every microsecond: every estimate is its own seed's
+        # serial one
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
+        expected = {seed: _serial_scrooge(16, 1001, seed) for seed in range(4)}
+        got = {}
+        callers = [
+            threading.Thread(
+                target=lambda s=seed: got.__setitem__(s, scrooge_lower_bound_estimate(16, 1001, s))
+            )
+            for seed in expected
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == expected
+
+    def test_reduction_error_joins_the_draw_thread(self, monkeypatch):
+        before = threading.active_count()
+
+        def failing_row_dot(a, b):
+            raise FloatingPointError("reduction")
+
+        monkeypatch.setattr(optimize, "_row_dot", failing_row_dot)
+        with pytest.raises(FloatingPointError, match="reduction"):
+            scrooge_lower_bound_estimate(4, 2 * (optimize._CHUNK_ENTRIES // 4) + 123, seed=5)
+        assert threading.active_count() == before
 
 
 class TestUniformPovmApproximant:
