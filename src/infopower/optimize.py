@@ -17,7 +17,8 @@ call, on every start still running; a start with a violating state takes
 it and goes on, up to MAX_ITER, and each start reports the best ensemble
 it reached. A multi-start search runs all of its starts at once as one
 stack of states: the descent and the see-saw keep full per-start arrays
-and work on the rows listed in `live`, the starts that have not stopped.
+(states, values, Barzilai-Borwein memory), and each _sphere_step moves the
+rows listed in `live`, the starts that have not stopped, in place on them.
 Every routine is deterministic for a fixed seed; each start owns a private
 PRNG stream derived from (seed, start index).
 """
@@ -30,7 +31,7 @@ from . import hilbert
 from .errors import InvalidInput
 from .infotheory import _born, _check_count, _check_pure_state, _divergence_bits
 from .infotheory import _effect_gradient, _entropy_bits, _nonnegative
-from .states import Povm
+from .states import Povm, _complex_to_pairs
 
 CONV_TOL = 1e-10
 GRAD_TOL = 1e-8
@@ -84,8 +85,7 @@ class OptimizationReport:
     def to_json_dict(self) -> dict:
         out = dict(vars(self))
         out["best_states"] = [
-            {"weight": w, "amplitudes": [[z.real, z.imag] for z in v]}
-            for w, v in self.best_states
+            {"weight": w, "amplitudes": _complex_to_pairs(v)} for w, v in self.best_states
         ]
         return out
 
@@ -174,48 +174,52 @@ def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
     return _project_tangent(psi, _effect_gradient(coef, p.factor, psi))
 
 
-def _sphere_step(objective, psi, g, value, aux, step):
-    """One steepest-descent step from every block of psi (k, ..., d) along its
-    tangent gradient g, by Armijo backtracking.
+def _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
+    """One steepest-descent step, by Armijo backtracking, from every block
+    psi[rows] of the stack psi (R, ..., d) along the Euclidean gradient grad.
 
     A block is one state or several (..., d) moved together, each state
-    retracted to its sphere; gnorm is the norm of the block's whole g. The
-    step of a block starts at its first trial length step (k,) and is halved
-    until the trial lowers the value by at least _ARMIJO_C * step * gnorm^2,
-    or the step falls to _MIN_STEP; blocks whose gnorm is below GRAD_TOL do
-    not search. Every searching block tries _ARMIJO_BATCH successive step
-    lengths in one call objective(states (t, ..., d), rows (t,)) -> (values
-    (t,), aux (t, ...)), rows naming the block of psi each trial belongs to,
-    and takes the first that passes. The lengths are the first length times
-    exact powers of two, so a block accepts the same step, state and value
-    as a search trying one length per call. psi, value and aux are updated
-    in place on the blocks that move. Returns the accepted step of every
-    block, 0 where the search failed (no move).
+    retracted to its sphere. grad is projected onto the tangent spaces (g),
+    and the first trial length is the Barzilai-Borwein length of the block's
+    last move, read from its previous state and tangent gradient in prev_psi
+    and prev_g, which the step then sets to this one's (1 where prev_psi is
+    the state). The length is halved until the trial lowers the value by at
+    least _ARMIJO_C * length * |g|^2, or falls to _MIN_STEP; blocks whose |g|
+    is below GRAD_TOL do not search. Each searching block tries _ARMIJO_BATCH
+    lengths, the first times exact powers of two, in one call
+    objective(states (t, ..., d), rows (t,)) -> (values (t,), aux (t, ...)),
+    rows naming each trial's stack row, and takes the first that passes: the
+    step, state and value of a search trying one length per call. psi, value
+    (R,) and aux (R, ...) are updated in place at the rows that move. Returns
+    the accepted length per entry of rows, 0 where the search failed.
     """
-    step = np.array(step, dtype=float)
+    base = psi[rows]
+    g = _project_tangent(base, grad)
+    step = _bb_length(base - prev_psi[rows], g - prev_g[rows])
+    prev_psi[rows], prev_g[rows] = base, g
     accepted = np.zeros(len(psi))
     gnorm = _norm(g.reshape(len(g), -1))
-    slope = gnorm**2
+    start, slope = value[rows], gnorm**2
     search = np.flatnonzero(~(gnorm < GRAD_TOL))
-    block = (1,) * (psi.ndim - 1)
+    block = (1,) * (base.ndim - 1)
     while search.size:
         s = step[search, None] * _ARMIJO_SCALES
-        trial = _normalize(psi[search, None] - s.reshape(s.shape + block) * g[search, None])
-        trial = trial.reshape((-1,) + psi.shape[1:])
-        trial_value, trial_aux = objective(trial, np.repeat(search, _ARMIJO_BATCH))
+        trial = _normalize(base[search, None] - s.reshape(s.shape + block) * g[search, None])
+        trial = trial.reshape((-1,) + base.shape[1:])
+        trial_value, trial_aux = objective(trial, np.repeat(rows[search], _ARMIJO_BATCH))
         ok = (s > _MIN_STEP) & (
-            trial_value.reshape(s.shape) <= value[search, None] - _ARMIJO_C * s * slope[search, None]
+            trial_value.reshape(s.shape) <= start[search, None] - _ARMIJO_C * s * slope[search, None]
         )
         first = np.argmax(ok, axis=1)
         hit = ok[np.arange(len(search)), first]
         pick = np.flatnonzero(hit) * _ARMIJO_BATCH + first[hit]
-        row = search[hit]
+        row = rows[search[hit]]
         accepted[row] = s.ravel()[pick]
         psi[row], value[row], aux[row] = trial[pick], trial_value[pick], trial_aux[pick]
         search = search[~hit]
         step[search] *= _ARMIJO_SHRINK**_ARMIJO_BATCH
         search = search[step[search] > _MIN_STEP]
-    return accepted
+    return accepted[rows]
 
 
 def _bb_length(s, y):
@@ -234,14 +238,15 @@ def _bb_length(s, y):
 def _riemannian_descent(objective, gradient, psi):
     """Minimize objective over the unit sphere from every row of psi (R, d).
 
-    objective(states, rows) -> (values (k,), aux (k, ...)) and
+    objective(states, rows) -> (values (k,), aux (k, ...)) and the Euclidean
     gradient(states, rows, aux) -> (k, d) are evaluated on the states (k, d)
-    of the rows listed in rows, so a row may carry its own parameters; aux is
-    what the objective computed at those states (e.g. Born probabilities),
-    handed to the gradient so it need not compute it again. Each row takes
-    its own steps (_sphere_step), first trying the Barzilai-Borwein length
-    of its last move (1 on its first step), and stops on its own test.
-    Returns (states, values, iterations, converged), one entry per row.
+    of the stack rows listed in rows, so a row may carry its own parameters;
+    aux is what the objective computed at those states (e.g. Born
+    probabilities), handed to the gradient. The stack, its values and aux,
+    and each row's previous state and tangent gradient are kept whole; each
+    iteration is one _sphere_step on the rows still running (live), and a
+    row stops on its own test. Returns (states, values, iterations,
+    converged), one entry per row.
     """
     psi = np.array(psi, dtype=complex)
     live = np.arange(len(psi))
@@ -251,17 +256,12 @@ def _riemannian_descent(objective, gradient, psi):
     # each row's previous state and tangent gradient; s = 0 gives length 1
     prev_psi, prev_g = psi.copy(), np.zeros_like(psi)
     for it in range(1, MAX_ITER + 1):
-        base, start_value, base_aux = psi[live], value[live], aux[live]
-        g = _project_tangent(base, gradient(base, live, base_aux))
-        step = _bb_length(base - prev_psi[live], g - prev_g[live])
-        prev_psi[live], prev_g[live], new_value = base, g, start_value.copy()
-        moved = _sphere_step(
-            lambda states, i: objective(states, live[i]), base, g, new_value, base_aux, step
-        ) > 0
-        psi[live], value[live], aux[live] = base, new_value, base_aux
+        start_value = value[live]
+        grad = gradient(psi[live], live, aux[live])
+        moved = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, live) > 0
         # a flat gradient or a failed line search ends a row before this step
         iterations[live[~moved]] = it - 1
-        small = moved & (start_value - new_value < CONV_TOL)
+        small = moved & (start_value - value[live] < CONV_TOL)
         iterations[live[small]] = it
         converged[live[~moved | small]] = True
         live = live[moved & ~small]
@@ -381,6 +381,7 @@ def informational_power_lower_bound(
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
     live = np.arange(starts)
+    neg_values = -values  # each start's -I, the value its step descends
     # each start's previous states and tangent gradient; s = 0 gives length 1
     prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
     # each start's best ensemble so far, the one it reports
@@ -394,22 +395,19 @@ def informational_power_lower_bound(
 
     def neg_information(states, rows):
         # the ascent of I descends -I, which accepts exactly the steps an
-        # ascent test would; the priors are the live starts' current ones
+        # ascent test would; the priors are the starts' current ones
         q = _born(factor, states)
-        return -_mutual_information_bits(weights[live[rows]], q), q
+        return -_mutual_information_bits(weights[rows], q), q
 
     for outer in range(1, MAX_ITER + 1):
-        base, c = psis[live], cond[live]
+        c = cond[live]
         w = weights[live] = _reweight_prior(weights[live], c)
-        neg_value = -_mutual_information_bits(w, c)
+        neg_values[live] = -_mutual_information_bits(w, c)
         q_bar = np.maximum(_outcome_marginal(w, c), _LOG_FLOOR)[..., None, :]
         coef = w[..., None] * _divergence_coef(c, q_bar)  # dI/dp(y|x) + w_x/ln 2
-        g = _project_tangent(base, _effect_gradient(-coef, factor, base))
-        step = _bb_length(base - prev_psis[live], g - prev_g[live])
-        prev_psis[live], prev_g[live] = base, g
-        _sphere_step(neg_information, base, g, neg_value, c, step)
-        psis[live], cond[live] = base, c
-        value = -neg_value
+        grad = _effect_gradient(-coef, factor, psis[live])
+        _sphere_step(neg_information, psis, grad, neg_values, cond, prev_psis, prev_g, live)
+        c, value = cond[live], -neg_values[live]
         stalled = value - values[live] < CONV_TOL
         values[live] = value
         keep_best(live)

@@ -7,14 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
-from infopower import infotheory, optimize, sic
+from infopower import infotheory, optimize, sic, states
 from infopower.errors import DimMismatch, InvalidDimension, InvalidInput
 from infopower.infotheory import (
     JointDistribution,
     conditional_output_entropy,
     joint_distribution,
     mutual_information,
+    outcome_distribution,
     scrooge_lower,
+    shannon_entropy,
     sic_upper,
 )
 from infopower.optimize import (
@@ -45,7 +47,7 @@ from infopower.optimize import (
 )
 from infopower.states import Ensemble, Povm, load_fiducial
 
-from conftest import SHIPPED_D4_FIDUCIAL
+from conftest import SHIPPED_D4_FIDUCIAL, random_pure_states
 
 
 class TestHaarSampler:
@@ -159,6 +161,17 @@ class TestNumpyIntegerCounts:
         assert est == scrooge_lower_bound_estimate(3, 200, 2)
         povm = uniform_povm_approximant(int_type(2), int_type(5), int_type(1))
         np.testing.assert_array_equal(povm.effects, uniform_povm_approximant(2, 5, 1).effects)
+
+
+@pytest.mark.parametrize("solver", [informational_power_lower_bound, min_output_entropy])
+def test_report_amplitudes_decode_to_the_reported_vectors(solver):
+    # the report writes [re, im] pairs with the states module's encoder, so
+    # its decoder gives back every reported vector bit for bit
+    report = solver(sic.qutrit_sic_povm(), starts=3, seed=2)
+    entries = report.to_json_dict()["best_states"]
+    assert len(entries) == len(report.best_states)
+    for entry, (_, v) in zip(entries, report.best_states):
+        assert np.array_equal(states._complex_from_pairs(entry["amplitudes"], 1), v)
 
 
 class TestMinOutputEntropy:
@@ -348,10 +361,10 @@ class TestInformationalPower:
         # step; it reports the best ensemble after any step, whose value is I
         reached = []
 
-        def recording(objective, psi, g, value, aux, step):
-            accepted = _sphere_step(objective, psi, g, value, aux, step)
+        def recording(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
+            accepted = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows)
             if psi.ndim == 3:  # an ensemble block, whose value is -I
-                reached.append(-value[0])
+                reached.append(-value[rows][0])
             return accepted
 
         monkeypatch.setattr(optimize, "_sphere_step", recording)
@@ -382,10 +395,10 @@ class TestFirstOrderSchedule:
             rngs.extend(start_rngs(seed, starts))
             return rngs
 
-        def recording_step(objective, psi, g, value, aux, step):
-            accepted = _sphere_step(objective, psi, g, value, aux, step)
+        def recording_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
+            accepted = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows)
             if psi.ndim == 3:  # an ensemble block, whose value is -I
-                steps.append(-value)
+                steps.append(-value[rows])
             return accepted
 
         def recording_check(effects, q_bar, row_rngs, restarts):
@@ -528,6 +541,42 @@ class TestMixedRankOracle:
         assert abs(r.best_value) < 1e-10
 
 
+class TestWhOrbitOracle:
+    """For a WH-covariant POVM, the WH orbit of any state psi with uniform
+    weights 1/d^2 has a uniform outcome marginal and outcome entropy H(q_psi)
+    at every orbit state, so its mutual information is 2 log2 d - H(q_psi)."""
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    @pytest.mark.parametrize("s", range(3))
+    def test_orbit_information_is_two_log_d_minus_the_entropy(self, d, s):
+        f, psi = random_pure_states(np.random.default_rng(100 * d + s), 2, d)
+        p = sic.wh_covariant_povm(f)
+        # the orbit's states D|psi><psi|D+ with weights 1/d^2 are the effects
+        # of psi's own WH POVM divided by d
+        ensemble = Ensemble(list(sic.wh_covariant_povm(psi).effects / d))
+        info = mutual_information(joint_distribution(ensemble, p))
+        expected = 2 * np.log2(d) - shannon_entropy(outcome_distribution(p, psi))
+        assert info == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+class TestRankOneFloor:
+    """Every rank-one POVM in dimension d has informational power at least
+    scrooge_lower(d) and at most log2 d, so a see-saw value outside that
+    interval on one is a see-saw failure."""
+
+    CASES = [
+        (d, kind, arg)
+        for d in range(2, 5)
+        for kind, arg in (("wh", 0), ("wh", 1), ("approximant", d * d), ("approximant", 64))
+    ]
+
+    @pytest.mark.parametrize("d, kind, arg", CASES)
+    def test_see_saw_lies_between_the_floor_and_log_d(self, d, kind, arg):
+        p = _random_wh_povm(d, arg) if kind == "wh" else uniform_povm_approximant(d, arg, seed=5)
+        best = informational_power_lower_bound(p, starts=4, seed=1).best_value
+        assert scrooge_lower(d) - 1e-9 <= best <= np.log2(d) + 1e-12
+
+
 class TestGradient:
     def test_rejects_a_state_of_another_dimension(self):
         with pytest.raises(DimMismatch):
@@ -614,10 +663,10 @@ class TestGradient:
 
         changes = []
 
-        def recording(objective, psi, g, value, aux, step):
-            before = value.copy()
-            accepted = _sphere_step(objective, psi, g, value, aux, step)
-            changes.append(value - before)
+        def recording(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
+            before = value[rows]
+            accepted = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows)
+            changes.append(value[rows] - before)
             return accepted
 
         monkeypatch.setattr(optimize, "_sphere_step", recording)
@@ -692,13 +741,15 @@ class TestArmijo:
     def test_matches_one_length_per_call(self, ascend):
         objective, psi, g, gnorm, value, tried = self.setup_rows(ascend)
         ref_steps, ref_states, ref_values = _one_length_search(
-            objective, psi, g, gnorm, value, ascend
+            objective, psi, _project_tangent(psi, g), gnorm, value, ascend
         )
         ref_tried = tried.copy()
         assert ref_steps.tolist() == [0.0 if n is None else 2.0**-n for n in self.HALVINGS[:-1]] + [0.0]
 
         tried[:] = 0
         states, aux = psi.copy(), np.full(len(psi), np.nan)
+        # the previous state is the state itself, so the first length is 1
+        first = (psi.copy(), np.zeros_like(psi), np.arange(len(psi)))
         if ascend:
             # the ascent descends the negated objective along the negated gradient
             def negated(st, rows):
@@ -706,11 +757,11 @@ class TestArmijo:
                 return -v, steps
 
             values = -value
-            steps = _sphere_step(negated, states, -g, values, aux, np.ones(len(psi)))
+            steps = _sphere_step(negated, states, -g, values, aux, *first)
             values = -values
         else:
             values = value.copy()
-            steps = _sphere_step(objective, states, g, values, aux, np.ones(len(psi)))
+            steps = _sphere_step(objective, states, g, values, aux, *first)
 
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(states, ref_states)
@@ -728,9 +779,10 @@ class TestArmijo:
 
     def test_blocks_of_one_state_match_rows(self):
         objective, psi, g, gnorm, value, tried = self.setup_rows(False)
+        rows = np.arange(len(psi))
         row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
         row_steps = _sphere_step(
-            objective, row_states, g, row_values, row_aux, np.ones(len(psi))
+            objective, row_states, g, row_values, row_aux, psi.copy(), np.zeros_like(psi), rows
         )
 
         tried[:] = 0
@@ -742,7 +794,9 @@ class TestArmijo:
             g[:, None],
             block_values,
             block_aux,
-            np.ones(len(psi)),
+            block_states.copy(),
+            np.zeros_like(block_states),
+            rows,
         )
         assert np.array_equal(block_steps, row_steps)
         assert np.array_equal(block_states[:, 0], row_states)
@@ -775,24 +829,37 @@ class TestBarzilaiBorwein:
         rng = np.random.default_rng(22)
         s = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
         y = s * rng.uniform(-0.5, 4.0, size=(len(psi), 1)) + 0.1 * rng.normal(size=psi.shape)
+        # a previous state and tangent gradient that leave a last move s and
+        # a gradient change y, up to rounding
+        tangent = _project_tangent(psi, g)
+        prev_psi, prev_g = psi - s, tangent - y
+        s, y = psi - prev_psi, tangent - prev_g
         row_lengths = _bb_length(s, y)
         block_lengths = _bb_length(s[:, None], y[:, None])
         assert np.array_equal(block_lengths, row_lengths)
         assert (row_lengths != 1.0).any() and (row_lengths == 1.0).any()
 
+        rows = np.arange(len(psi))
         row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
-        row_steps = _sphere_step(objective, row_states, g, row_values, row_aux, row_lengths)
+        row_prev = prev_psi.copy(), prev_g.copy()
+        row_steps = _sphere_step(objective, row_states, g, row_values, row_aux, *row_prev, rows)
         tried[:] = 0
         block_states, block_values = psi[:, None].copy(), value.copy()
         block_aux = np.full(len(psi), np.nan)
+        block_prev = prev_psi[:, None].copy(), prev_g[:, None].copy()
         block_steps = _sphere_step(
             lambda st, rows: objective(st[:, 0], rows),
             block_states,
             g[:, None],
             block_values,
             block_aux,
-            block_lengths,
+            *block_prev,
+            rows,
         )
+        # the step leaves this step's state and tangent gradient as the memory
+        assert np.array_equal(row_prev[0], psi) and np.array_equal(row_prev[1], tangent)
+        assert np.array_equal(block_prev[0][:, 0], psi)
+        assert np.array_equal(block_prev[1][:, 0], tangent)
         assert np.array_equal(block_steps, row_steps)
         assert np.array_equal(block_states[:, 0], row_states)
         assert np.array_equal(block_values, row_values)
@@ -801,11 +868,12 @@ class TestBarzilaiBorwein:
     def test_descent_first_step_tries_one(self, monkeypatch):
         lengths = []
 
-        def recording(objective, psi, g, value, aux, step):
-            lengths.append(step.copy())
-            return _sphere_step(objective, psi, g, value, aux, step)
+        def recording(s, y):
+            length = _bb_length(s, y)
+            lengths.append(length.copy())
+            return length
 
-        monkeypatch.setattr(optimize, "_sphere_step", recording)
+        monkeypatch.setattr(optimize, "_bb_length", recording)
         min_output_entropy(sic.qutrit_sic_povm(), starts=5, seed=3)
         assert lengths[0].tolist() == [1.0] * 5
         assert any((step != 1.0).any() for step in lengths[1:])
@@ -817,17 +885,18 @@ class TestBarzilaiBorwein:
         events = []
         check = optimize._divergence_search
 
-        def recording_step(objective, psi, g, value, aux, step):
-            if psi.ndim == 3:  # an ensemble block, not a divergence-check row
-                events.append(float(step[0]))
-            return _sphere_step(objective, psi, g, value, aux, step)
+        def recording_length(s, y):
+            length = _bb_length(s, y)
+            if s.ndim == 3:  # an ensemble block, not a divergence-check row
+                events.append(float(length[0]))
+            return length
 
         def violating_check(effects, q_bar, rngs, restarts):
             events.append("check")
             phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts)
             return phi, divergence + 10.0, iterations, converged
 
-        monkeypatch.setattr(optimize, "_sphere_step", recording_step)
+        monkeypatch.setattr(optimize, "_bb_length", recording_length)
         monkeypatch.setattr(optimize, "_divergence_search", violating_check)
         informational_power_lower_bound(sic.tetrahedral_povm(), starts=1, seed=9)
         after_check = [b for a, b in zip(events, events[1:]) if a == "check"]
