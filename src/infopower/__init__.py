@@ -17,7 +17,6 @@ from .infotheory import (
     shannon_entropy,
 )
 from .optimize import (
-    HaarSampler,
     OptimizationReport,
     informational_power_lower_bound,
     min_output_entropy,

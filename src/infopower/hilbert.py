@@ -12,7 +12,6 @@ from .errors import InvalidOperator, InvalidState, NotPositive
 HERM_TOL = 1e-10
 NORM_TOL = 1e-10
 PSD_TOL = 1e-10
-RECON_TOL = 1e-9
 KERNEL_TOL = 1e-12
 
 

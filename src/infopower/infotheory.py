@@ -24,8 +24,6 @@ from .states import SUM_TOL, Ensemble, Povm, _check_density
 
 _ZERO_PROB = 1e-15
 
-EULER_GAMMA = float(np.euler_gamma)
-
 
 # Kernels on stacked arrays: each maps the trailing axis and broadcasts over
 # the leading ones, so a call serves one state or distribution, or a stack.
@@ -203,7 +201,7 @@ def rastegin_conditional_floor(d: int) -> float:
 
 def scrooge_asymptote() -> float:
     """Limit (1 - euler_gamma)/ln 2 of the uniform-measurement floor."""
-    return float((1.0 - EULER_GAMMA) / np.log(2))
+    return float((1.0 - np.euler_gamma) / np.log(2))
 
 
 def sic_pretty_good_joint(d: int) -> JointDistribution:

@@ -19,8 +19,8 @@ it reached. A multi-start search runs all of its starts at once as one
 stack of states: the descent and the see-saw keep full per-start arrays
 (states, values, Barzilai-Borwein memory), and each _sphere_step moves the
 rows listed in `live`, the starts that have not stopped, in place on them.
-Every routine is deterministic for a fixed seed; each start owns a private
-PRNG stream derived from (seed, start index).
+Seeded runs repeat exactly: search starts read SeedSequence(seed).spawn
+streams; the approximant and the Monte-Carlo floor read one PCG64(seed).
 """
 
 from dataclasses import dataclass
@@ -48,23 +48,6 @@ _LOG_FLOOR = 1e-18
 _CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk buffer: 1 MiB of float64
 
 RNG_ALGORITHM = "pcg64"
-
-
-class HaarSampler:
-    """Deterministic stream of Haar-uniform pure states in a fixed dimension."""
-
-    def __init__(self, dim: int, seed: int):
-        self.dim = _check_count(dim, 1)
-        self.seed = _check_count(seed, 0, InvalidInput, "seed")
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
-
-    def state(self) -> np.ndarray:
-        """One normalized vector of independent standard complex Gaussians."""
-        return self.states(1)[0]
-
-    def states(self, n: int) -> np.ndarray:
-        """n x dim array of independent Haar samples."""
-        return _haar_from_rng(self._rng, self.dim, _check_count(n, 0, InvalidInput, "n"))
 
 
 @dataclass
@@ -500,11 +483,13 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
 def uniform_povm_approximant(d: int, n: int, seed: int = 0) -> Povm:
     """Finite n-outcome stand-in for the Haar-uniform continuous POVM.
 
-    Draws n Haar states, forms S = sum |psi><psi|, and returns the effects
-    S^{-1/2}|psi><psi|S^{-1/2}; the orbit sums to the identity exactly.
+    Draws n Haar states from PCG64(seed), forms S = sum |psi><psi|, and
+    returns the effects S^{-1/2}|psi><psi|S^{-1/2}, which sum to I exactly.
     """
-    sampler = HaarSampler(d, seed)
-    psis = sampler.states(_check_count(n, sampler.dim, what="outcomes"))
+    d = _check_count(d, 1)
+    seed = _check_count(seed, 0, InvalidInput, "seed")
+    n = _check_count(n, d, what="outcomes")
+    psis = _haar_from_rng(np.random.Generator(np.random.PCG64(seed)), d, n)
     s = psis.T @ psis.conj()
     balance = hilbert.op_inv_sqrt(s)
     rotated = psis @ balance.T

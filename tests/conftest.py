@@ -41,6 +41,9 @@ def qubit_wh_fiducial():
     return np.array([a, np.exp(1j * np.pi / 4) * b])
 
 
+# reconstruction error allowed when a test rebuilds a matrix from its parts
+RECON_TOL = 1e-9
+
 # the d=4 fiducial the benchmark ships, found from this file, not the working directory
 SHIPPED_D4_FIDUCIAL = Path(__file__).resolve().parents[1] / "perfbench" / "fiducial_d4.json"
 

@@ -145,19 +145,64 @@ def test_load_fiducial_returns_a_state_or_raises_infopower_error(fuzz_file, cont
     assert np.isclose(np.linalg.norm(psi), 1.0)
 
 
+def run_cli(argv):
+    """main(argv) with stdout and stderr captured: exit code, stdout, stderr.
+    A failing run must exit 2 with nothing on stdout and one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert code == 2 and not out.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error:")
+    return code, out.getvalue(), err.getvalue()
+
+
 @FUZZ
 @hypothesis.given(documents | st.binary(max_size=8))
 def test_mutinfo_exits_0_or_2_with_one_error_line(fuzz_file, content):
     write(fuzz_file, content)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["mutinfo", str(fuzz_file), "builtin:tetrahedral"])
+    code, out, err = run_cli(["mutinfo", str(fuzz_file), "builtin:tetrahedral"])
     if code == 0:
-        assert out.getvalue().startswith("I=") and not err.getvalue()
-    else:
-        assert code == 2 and not out.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith("error:")
+        assert out.startswith("I=") and not err
+
+
+# seeds around the int64 and uint64 limits and far beyond them; the counts
+# stay this small, so no drawn size allocates
+seeds = st.integers(-3, 4) | st.sampled_from(
+    [2**63 - 1, 2**63, 2**64, 2**70, -(2**63), 10**30]
+)
+search_commands = st.tuples(
+    st.sampled_from(["power", "minent"]),
+    st.just("--builtin"),
+    st.sampled_from(["tetrahedral", "qutrit", "antitetrahedral"]),
+    st.just("--starts"),
+    st.integers(-2, 3).map(str),
+    st.just("--seed"),
+    seeds.map(str),
+)
+scrooge_commands = st.tuples(
+    st.just("scrooge"),
+    st.just("--dim"),
+    st.integers(-2, 6).map(str),
+    st.just("--samples"),
+    st.integers(-2, 60).map(str),
+    st.just("--seed"),
+    seeds.map(str),
+)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@FUZZ
+@hypothesis.given(search_commands | scrooge_commands)
+def test_optimizer_commands_print_strict_json_or_exit_2(argv):
+    code, out, err = run_cli(list(argv))
+    if code == 0:
+        assert isinstance(json.loads(out, parse_constant=reject_constant), dict)
+        assert not err
 
 
 # array arguments as Python nests: bounded floats (huge finite entries make

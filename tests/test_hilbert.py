@@ -10,14 +10,13 @@ from infopower.errors import (
 )
 from infopower.hilbert import (
     KERNEL_TOL,
-    RECON_TOL,
     eigh,
     op_inv_sqrt,
     op_sqrt,
     outer,
 )
 
-from conftest import random_hermitian
+from conftest import RECON_TOL, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

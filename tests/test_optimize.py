@@ -28,10 +28,10 @@ from infopower.optimize import (
     CONV_TOL,
     GRAD_TOL,
     MAX_ITER,
-    HaarSampler,
     _bb_length,
     _divergence_coef,
     _effect_gradient,
+    _haar_from_rng,
     _mutual_information_bits,
     _normalize,
     _outcome_marginal,
@@ -50,44 +50,63 @@ from infopower.states import Ensemble, Povm, load_fiducial
 from conftest import SHIPPED_D4_FIDUCIAL, random_pure_states
 
 
-class TestHaarSampler:
+class TestApproximantStream:
     def test_determinism(self):
-        a = HaarSampler(3, seed=42)
-        b = HaarSampler(3, seed=42)
-        np.testing.assert_array_equal(a.state(), b.state())
-        np.testing.assert_array_equal(a.states(10), b.states(10))
-
-    @pytest.mark.parametrize("dim", [2, 3, 7])
-    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2024])
-    def test_state_is_one_row_of_states(self, dim, seed):
-        np.testing.assert_array_equal(
-            HaarSampler(dim, seed).state(), HaarSampler(dim, seed).states(1)[0]
-        )
+        a = uniform_povm_approximant(3, 10, seed=42)
+        b = uniform_povm_approximant(3, 10, seed=42)
+        np.testing.assert_array_equal(a.effects, b.effects)
 
     def test_different_seeds_differ(self):
-        assert not np.allclose(HaarSampler(2, 1).state(), HaarSampler(2, 2).state())
+        a = uniform_povm_approximant(3, 10, seed=1)
+        b = uniform_povm_approximant(3, 10, seed=2)
+        assert not np.allclose(a.effects, b.effects)
+
+    def test_stream_is_pinned(self):
+        # the effects at (2, 4, seed=5), recorded from the PCG64(seed) stream:
+        # another bit generator, a spawned SeedSequence child or another draw
+        # order moves them, and with them every test margin built on the
+        # approximants. Swapping the real and imaginary draws conjugates
+        # every effect, which keeps the traces, so the off-diagonals are
+        # pinned too.
+        effects = uniform_povm_approximant(2, 4, seed=5).effects
+        np.testing.assert_allclose(
+            np.trace(effects, axis1=1, axis2=2).real,
+            [0.7163778398855487, 0.38310561697075635, 0.5992881915197912, 0.30122835162390355],
+            rtol=0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            effects[:, 0, 1],
+            [
+                0.30215063632367795 + 0.18826277895818752j,
+                -0.14899026407894453 + 0.04170870703261576j,
+                -0.18302646687228102 - 0.1407219060045255j,
+                0.029866094627547583 - 0.08924957998627797j,
+            ],
+            rtol=0,
+            atol=1e-12,
+        )
 
     def test_mean_projector_is_maximally_mixed(self):
-        psis = HaarSampler(2, 0).states(100_000)
+        psis = _haar_from_rng(np.random.Generator(np.random.PCG64(0)), 2, 100_000)
         mean_proj = np.einsum("ni,nj->ij", psis, psis.conj()) / len(psis)
         assert np.max(np.abs(mean_proj - np.eye(2) / 2)) < 0.01
 
     def test_mean_overlap_with_basis_vector(self):
         for d in (2, 4):
-            psis = HaarSampler(d, 1).states(100_000)
+            psis = _haar_from_rng(np.random.Generator(np.random.PCG64(1)), d, 100_000)
             assert abs(np.mean(np.abs(psis[:, 0]) ** 2) - 1 / d) < 0.01
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: HaarSampler(2, -1),
         lambda: uniform_povm_approximant(2, 4, seed=-1),
         lambda: scrooge_lower_bound_estimate(2, 100, seed=-1),
         lambda: min_output_entropy(sic.tetrahedral_povm(), starts=2, seed=-1),
         lambda: informational_power_lower_bound(sic.tetrahedral_povm(), starts=2, seed=-1),
     ],
-    ids=["HaarSampler", "uniform_povm_approximant", "scrooge", "minent", "power"],
+    ids=["uniform_povm_approximant", "scrooge", "minent", "power"],
 )
 def test_negative_seed_is_invalid_input(call):
     with pytest.raises(InvalidInput, match="seed"):
@@ -100,12 +119,9 @@ TETRAHEDRAL = sic.tetrahedral_povm()
 @pytest.mark.parametrize(
     "call, err",
     [
-        (lambda: HaarSampler(2.0, 1), InvalidDimension),
-        (lambda: HaarSampler(0, 1), InvalidDimension),
-        (lambda: HaarSampler(2, 1.0), InvalidInput),
-        (lambda: HaarSampler(2, True), InvalidInput),
-        (lambda: HaarSampler(2, 1).states(-1), InvalidInput),
-        (lambda: HaarSampler(2, 1).states(2.0), InvalidInput),
+        (lambda: uniform_povm_approximant(0, 4), InvalidDimension),
+        (lambda: uniform_povm_approximant(2, 4, seed=1.0), InvalidInput),
+        (lambda: uniform_povm_approximant(2, 4, seed=True), InvalidInput),
         (lambda: uniform_povm_approximant(2, 4.0), InvalidDimension),
         (lambda: uniform_povm_approximant(2, 1), InvalidDimension),
         (lambda: uniform_povm_approximant(2.5, 4), InvalidDimension),
@@ -119,12 +135,9 @@ TETRAHEDRAL = sic.tetrahedral_povm()
         (lambda: scrooge_lower_bound_estimate(2, 100, seed="1"), InvalidInput),
     ],
     ids=[
-        "sampler-dim-float",
-        "sampler-dim-0",
-        "sampler-seed-float",
-        "sampler-seed-bool",
-        "sampler-n-negative",
-        "sampler-n-float",
+        "approximant-d-0",
+        "approximant-seed-float",
+        "approximant-seed-bool",
         "approximant-n-float",
         "approximant-n-below-d",
         "approximant-d-float",
@@ -150,11 +163,6 @@ class TestNumpyIntegerCounts:
         report = solver(TETRAHEDRAL, starts=int_type(3), seed=int_type(5)).to_json_dict()
         assert json.dumps(report) == json.dumps(solver(TETRAHEDRAL, starts=3, seed=5).to_json_dict())
         assert type(report["seed"]) is int
-
-    def test_sampler_streams_and_stores_python_ints(self, int_type):
-        sampler = HaarSampler(int_type(3), int_type(4))
-        assert type(sampler.dim) is int and type(sampler.seed) is int
-        np.testing.assert_array_equal(sampler.states(int_type(5)), HaarSampler(3, 4).states(5))
 
     def test_scrooge_and_approximant(self, int_type):
         est = scrooge_lower_bound_estimate(int_type(3), int_type(200), int_type(2))

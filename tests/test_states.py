@@ -12,7 +12,6 @@ from infopower.errors import (
     InvalidPovm,
     NotSic,
 )
-from infopower.hilbert import RECON_TOL
 from infopower.sic import sic_ensemble_from_povm, sic_povm_from_ensemble
 from infopower.states import (
     SUM_TOL,
@@ -24,7 +23,7 @@ from infopower.states import (
     restrict_to_support,
 )
 
-from conftest import random_ensemble, random_povm, random_pure_states
+from conftest import RECON_TOL, random_ensemble, random_povm, random_pure_states
 
 
 class TestValidation:
