@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from infopower import infotheory, optimize, sic, states
+from infopower import hilbert, infotheory, optimize, sic, states
 from infopower.errors import DimMismatch, InvalidDimension, InvalidInput
 from infopower.infotheory import (
     JointDistribution,
@@ -87,6 +87,22 @@ class TestApproximantStream:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 42, 2024])
+    def test_effect_k_is_row_k_of_the_stream(self, dim, seed):
+        # with S the frame operator of the stream's n states, S^1/2 E_k S^1/2
+        # gives back the projector on the stream's k-th state, in order
+        n = 2 * dim
+        psis = _haar_from_rng(np.random.Generator(np.random.PCG64(seed)), dim, n)
+        root = hilbert.op_sqrt(psis.T @ psis.conj())
+        effects = uniform_povm_approximant(dim, n, seed).effects
+        np.testing.assert_allclose(
+            root @ effects @ root,
+            psis[:, :, None] * psis[:, None, :].conj(),
+            rtol=0,
+            atol=1e-9,
+        )
+
     def test_mean_projector_is_maximally_mixed(self):
         psis = _haar_from_rng(np.random.Generator(np.random.PCG64(0)), 2, 100_000)
         mean_proj = np.einsum("ni,nj->ij", psis, psis.conj()) / len(psis)
@@ -125,6 +141,9 @@ TETRAHEDRAL = sic.tetrahedral_povm()
         (lambda: uniform_povm_approximant(2, 4.0), InvalidDimension),
         (lambda: uniform_povm_approximant(2, 1), InvalidDimension),
         (lambda: uniform_povm_approximant(2.5, 4), InvalidDimension),
+        (lambda: uniform_povm_approximant(-1, 4), InvalidDimension),
+        (lambda: uniform_povm_approximant(2, -1), InvalidDimension),
+        (lambda: uniform_povm_approximant(2, 4, seed="1"), InvalidInput),
         (lambda: informational_power_lower_bound(TETRAHEDRAL, starts=2.5), InvalidInput),
         (lambda: informational_power_lower_bound(TETRAHEDRAL, starts=2, seed=None), InvalidInput),
         (lambda: min_output_entropy(TETRAHEDRAL, seed=1.5), InvalidInput),
@@ -141,6 +160,9 @@ TETRAHEDRAL = sic.tetrahedral_povm()
         "approximant-n-float",
         "approximant-n-below-d",
         "approximant-d-float",
+        "approximant-d-negative",
+        "approximant-n-negative",
+        "approximant-seed-str",
         "power-starts-float",
         "power-seed-none",
         "minent-seed-float",
@@ -163,6 +185,12 @@ class TestNumpyIntegerCounts:
         report = solver(TETRAHEDRAL, starts=int_type(3), seed=int_type(5)).to_json_dict()
         assert json.dumps(report) == json.dumps(solver(TETRAHEDRAL, starts=3, seed=5).to_json_dict())
         assert type(report["seed"]) is int
+
+    def test_haar_stream_matches_the_python_int_stream(self, int_type):
+        rng = np.random.Generator(np.random.PCG64(int_type(4)))
+        psis = _haar_from_rng(rng, int_type(3), int_type(5))
+        expected = _haar_from_rng(np.random.Generator(np.random.PCG64(4)), 3, 5)
+        np.testing.assert_array_equal(psis, expected)
 
     def test_scrooge_and_approximant(self, int_type):
         est = scrooge_lower_bound_estimate(int_type(3), int_type(200), int_type(2))
