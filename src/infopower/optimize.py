@@ -1,24 +1,26 @@
 """Haar sampling and multi-start optimization over pure states.
 
-The state searches take one kind of step (_sphere_step) on a unit sphere or
-a product of them: Euclidean gradient projected onto the tangent spaces,
-normalization retraction, backtracking (Armijo) line search. A search does
-not restart at length 1: each step first tries the Barzilai-Borwein length
-of the block's last move (Barzilai-Borwein 1988; Iannazzo-Porcelli 2018 for
-the Riemannian form). One search (_divergence_search) maximizes
-D(Born(psi) || r) (infotheory._divergence_bits) from Haar starts and keeps
-each r's best. It serves the minimal outcome entropy, with r = 1 since
-H(q) = -D(q || 1), and the see-saw's first-order check, r its marginal q.
-The see-saw reads I = sum_x w_x D(p(.|x) || q): it alternates a fixed
-number of Blahut-Arimoto sweeps on the prior (w_x times 2^D) with one such
-step on all states of each ensemble along w_x times the gradient of D.
-Every _CHECK_EVERY iterations it checks first-order optimality, in one
-call, on every start still running; a start with a violating state takes
-it and goes on, up to MAX_ITER, and each start reports the best ensemble
-it reached. A multi-start search runs all of its starts at once as one
-stack of states: the descent and the see-saw keep full per-start arrays
-(states, values, Barzilai-Borwein memory), and each _sphere_step moves the
-rows listed in `live`, the starts that have not stopped, in place on them.
+Every search is an ascent of D(q || r) or I by one kind of step
+(_sphere_step) on a unit sphere or a product of them: Euclidean gradient
+projected onto the tangent spaces, normalization retraction, backtracking
+(Armijo) line search. A search does not restart at length 1: each step
+first tries the Barzilai-Borwein length of the block's last move
+(Barzilai-Borwein 1988; Iannazzo-Porcelli 2018 for the Riemannian form).
+One search (_divergence_search) maximizes D(Born(psi) || r)
+(infotheory._divergence_bits) from Haar starts and keeps each r's best. It
+serves the see-saw's first-order check, r its marginal q, and the minimal
+outcome entropy, r = 1: H(q) = -D(q || 1), and only the entropy's own
+functions (min_output_entropy, output_entropy_gradient) negate. The
+see-saw reads I = sum_x w_x D(p(.|x) || q): it alternates a fixed number
+of Blahut-Arimoto sweeps on the prior (w_x times 2^D) with one such step
+on all states of each ensemble along w_x times the gradient of D. Every
+_CHECK_EVERY iterations it checks first-order optimality, in one call, on
+every start still running; a start with a violating state takes it and
+goes on, up to MAX_ITER, and each start reports the best ensemble it
+reached. A multi-start search runs all of its starts at once as one stack
+of states: the ascent and the see-saw keep full per-start arrays (states,
+values, Barzilai-Borwein memory), and each _sphere_step moves the rows
+listed in `live`, the starts that have not stopped, in place on them.
 Seeded runs repeat exactly: search starts read SeedSequence(seed).spawn
 streams; the approximant and the Monte-Carlo floor read one PCG64(seed).
 """
@@ -41,7 +43,7 @@ _ARMIJO_SHRINK = 0.5
 _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
 _REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
-_DIVERGENCE_RESTARTS = 3  # descents per first-order-optimality check
+_DIVERGENCE_RESTARTS = 3  # ascents per first-order-optimality check
 _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
@@ -150,23 +152,23 @@ def _normalize(psi: np.ndarray) -> np.ndarray:
 
 
 def output_entropy_gradient(p: Povm, psi) -> np.ndarray:
-    """Riemannian gradient of the outcome entropy at a pure state."""
+    """Riemannian gradient of the outcome entropy -D(q || 1) at a pure state."""
     psi = _check_pure_state(p, psi)
-    # the entropy is -D(q || 1)
     coef = -_divergence_coef(_born(p.factor, psi), 1.0)
     return _project_tangent(psi, _effect_gradient(coef, p.factor, psi))
 
 
 def _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
-    """One steepest-descent step, by Armijo backtracking, from every block
+    """One steepest-ascent step, by Armijo backtracking, from every block
     psi[rows] of the stack psi (R, ..., d) along the Euclidean gradient grad.
+    Every search maximizes D(q || r) or I; of them only min_output_entropy negates.
 
     A block is one state or several (..., d) moved together, each state
     retracted to its sphere. grad is projected onto the tangent spaces (g),
     and the first trial length is the Barzilai-Borwein length of the block's
     last move, read from its previous state and tangent gradient in prev_psi
     and prev_g, which the step then sets to this one's (1 where prev_psi is
-    the state). The length is halved until the trial lowers the value by at
+    the state). The length is halved until the trial raises the value by at
     least _ARMIJO_C * length * |g|^2, or falls to _MIN_STEP; blocks whose |g|
     is below GRAD_TOL do not search. Each searching block tries _ARMIJO_BATCH
     lengths, the first times exact powers of two, in one call
@@ -178,7 +180,7 @@ def _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
     """
     base = psi[rows]
     g = _project_tangent(base, grad)
-    step = _bb_length(base - prev_psi[rows], g - prev_g[rows])
+    step = _bb_length(base - prev_psi[rows], prev_g[rows] - g)
     prev_psi[rows], prev_g[rows] = base, g
     accepted = np.zeros(len(psi))
     gnorm = _norm(g.reshape(len(g), -1))
@@ -187,11 +189,11 @@ def _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
     block = (1,) * (base.ndim - 1)
     while search.size:
         s = step[search, None] * _ARMIJO_SCALES
-        trial = _normalize(base[search, None] - s.reshape(s.shape + block) * g[search, None])
+        trial = _normalize(base[search, None] + s.reshape(s.shape + block) * g[search, None])
         trial = trial.reshape((-1,) + base.shape[1:])
         trial_value, trial_aux = objective(trial, np.repeat(rows[search], _ARMIJO_BATCH))
         ok = (s > _MIN_STEP) & (
-            trial_value.reshape(s.shape) <= start[search, None] - _ARMIJO_C * s * slope[search, None]
+            trial_value.reshape(s.shape) >= start[search, None] + _ARMIJO_C * s * slope[search, None]
         )
         first = np.argmax(ok, axis=1)
         hit = ok[np.arange(len(search)), first]
@@ -207,9 +209,9 @@ def _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
 
 def _bb_length(s, y):
     """Barzilai-Borwein length <s,s>/<s,y> of every block (k, ..., d), with
-    s the block's last move and y the change of its tangent gradient; the
-    real inner products run over the whole block. 1 where <s,y> <= 0 or the
-    ratio is not finite, as at s = 0."""
+    s the block's last move and y the previous tangent gradient minus the
+    current one (so <s,y> > 0 on a concave block); the real inner products
+    run over the whole block. 1 where <s,y> <= 0 or the ratio is not finite."""
     s, y = s.reshape(len(s), -1), y.reshape(len(y), -1)
     ss = _row_dot(s.real, s.real) + _row_dot(s.imag, s.imag)
     sy = _row_dot(s.real, y.real) + _row_dot(s.imag, y.imag)
@@ -218,8 +220,9 @@ def _bb_length(s, y):
     return np.where((sy > 0) & np.isfinite(length), length, 1.0)
 
 
-def _riemannian_descent(objective, gradient, psi):
-    """Minimize objective over the unit sphere from every row of psi (R, d).
+def _riemannian_ascent(objective, gradient, psi):
+    """Maximize objective, D(q || r) in every search and negated only by
+    min_output_entropy, over the unit sphere from every row of psi (R, d).
 
     objective(states, rows) -> (values (k,), aux (k, ...)) and the Euclidean
     gradient(states, rows, aux) -> (k, d) are evaluated on the states (k, d)
@@ -244,7 +247,7 @@ def _riemannian_descent(objective, gradient, psi):
         moved = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, live) > 0
         # a flat gradient or a failed line search ends a row before this step
         iterations[live[~moved]] = it - 1
-        small = moved & (start_value - value[live] < CONV_TOL)
+        small = moved & (value[live] - start_value < CONV_TOL)
         iterations[live[small]] = it
         converged[live[~moved | small]] = True
         live = live[moved & ~small]
@@ -256,32 +259,31 @@ def _riemannian_descent(objective, gradient, psi):
 def _divergence_search(factor, ref, rngs, restarts):
     """For every row r of the references ref (k, n) or (k, 1), floored at
     _LOG_FLOOR, the pure state maximizing D(Born(psi) || r) in bits (with
-    r = 1, -D is the outcome entropy): -D descends from `restarts` Haar
-    states drawn from the row's stream in rngs, all as one stack, and the
-    row keeps its best descent. Returns (states (k, d), divergences,
-    iterations, converged), one entry per row. factor is the POVM's
-    Povm.factor."""
+    r = 1, -D is the outcome entropy): D ascends from `restarts` Haar states
+    drawn from the row's stream in rngs, all as one stack, and the row keeps
+    its best ascent. Returns (states (k, d), divergences, iterations,
+    converged), one entry per row. factor is the POVM's Povm.factor."""
     ref = np.repeat(np.maximum(ref, _LOG_FLOOR), restarts, axis=0)
     dim = factor.shape[-1]
     psi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
 
     def objective(psi, rows):
         q = _born(factor, psi)
-        return -_divergence_bits(q, ref[rows]), q
+        return _divergence_bits(q, ref[rows]), q
 
     def gradient(psi, rows, q):
-        return _effect_gradient(-_divergence_coef(q, ref[rows]), factor, psi)
+        return _effect_gradient(_divergence_coef(q, ref[rows]), factor, psi)
 
-    psi, neg_div, iterations, converged = _riemannian_descent(objective, gradient, psi0)
-    best = np.argmin(neg_div.reshape(-1, restarts), axis=1) + np.arange(0, len(psi), restarts)
-    return psi[best], -neg_div[best], iterations[best], converged[best]
+    psi, divergence, iterations, converged = _riemannian_ascent(objective, gradient, psi0)
+    best = np.argmax(divergence.reshape(-1, restarts), axis=1) + np.arange(0, len(psi), restarts)
+    return psi[best], divergence[best], iterations[best], converged[best]
 
 
 def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> OptimizationReport:
     """Multi-start minimization of the outcome entropy H(Y|X=x) over pure states.
 
-    All starts descend together as one stack, each from a Haar state drawn
-    from its own stream.
+    All starts ascend D(q || 1) = -H(q) together as one stack, each from a
+    Haar state drawn from its own stream.
     """
     starts = _check_count(starts, 1, InvalidInput, "starts")
     seed = _check_count(seed, 0, InvalidInput, "seed")
@@ -356,7 +358,7 @@ def informational_power_lower_bound(
     factor = p.factor
     rngs = _start_rngs(seed, starts)
     # every start's states (S, m, d), priors (S, m), conditionals (S, m, n)
-    # and value; the loop works on the rows listed in live
+    # and value I, which its step raises; the loop works on the live rows
     psis = np.stack([_haar_from_rng(rng, d, m) for rng in rngs])
     weights = np.full((starts, m), 1.0 / m)
     cond = _born(factor, psis)
@@ -364,7 +366,6 @@ def informational_power_lower_bound(
     iterations = np.full(starts, MAX_ITER)
     converged = np.zeros(starts, dtype=bool)
     live = np.arange(starts)
-    neg_values = -values  # each start's -I, the value its step descends
     # each start's previous states and tangent gradient; s = 0 gives length 1
     prev_psis, prev_g = psis.copy(), np.zeros_like(psis)
     # each start's best ensemble so far, the one it reports
@@ -376,23 +377,20 @@ def informational_power_lower_bound(
             values[rows], psis[rows], weights[rows]
         )
 
-    def neg_information(states, rows):
-        # the ascent of I descends -I, which accepts exactly the steps an
-        # ascent test would; the priors are the starts' current ones
+    def information(states, rows):  # I at the starts' current priors
         q = _born(factor, states)
-        return -_mutual_information_bits(weights[rows], q), q
+        return _mutual_information_bits(weights[rows], q), q
 
     for outer in range(1, MAX_ITER + 1):
-        c = cond[live]
+        c, before = cond[live], values[live]
         w = weights[live] = _reweight_prior(weights[live], c)
-        neg_values[live] = -_mutual_information_bits(w, c)
+        values[live] = _mutual_information_bits(w, c)
         q_bar = np.maximum(_outcome_marginal(w, c), _LOG_FLOOR)[..., None, :]
         coef = w[..., None] * _divergence_coef(c, q_bar)  # dI/dp(y|x) + w_x/ln 2
-        grad = _effect_gradient(-coef, factor, psis[live])
-        _sphere_step(neg_information, psis, grad, neg_values, cond, prev_psis, prev_g, live)
-        c, value = cond[live], -neg_values[live]
-        stalled = value - values[live] < CONV_TOL
-        values[live] = value
+        grad = _effect_gradient(coef, factor, psis[live])
+        _sphere_step(information, psis, grad, values, cond, prev_psis, prev_g, live)
+        c, value = cond[live], values[live]
+        stalled = value - before < CONV_TOL
         keep_best(live)
         if outer % _CHECK_EVERY == 0:
             # first-order optimality: every pure state must satisfy
@@ -452,10 +450,11 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, _CHUNK_ENTRIES // d), samples)
     e_bufs, log_buf = np.empty((2, rows, d)), np.empty((rows, d))
-    draws = [
-        e_bufs[i % 2, : min(rows, samples - done)]
-        for i, done in enumerate(range(0, samples, rows))
-    ]
+
+    def draw(done):
+        # the chunk from sample `done` on, into the buffer not being reduced
+        return rng.standard_exponential(out=e_bufs[done // rows % 2, : min(rows, samples - done)])
+
     q_sum = np.zeros(d)
     entropy_sum = 0.0
     # imported here: concurrent.futures loads logging, which nothing else in
@@ -464,11 +463,11 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
 
     # numpy releases the GIL while it draws and reduces, so the two overlap
     with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(rng.standard_exponential, out=draws[0])
-        for i, e in enumerate(draws):
-            pending.result()
-            if i + 1 < len(draws):
-                pending = worker.submit(rng.standard_exponential, out=draws[i + 1])
+        pending = worker.submit(draw, 0)
+        for done in range(0, samples, rows):
+            e = pending.result()
+            if done + rows < samples:
+                pending = worker.submit(draw, done + rows)
             log_e = log_buf[: len(e)]
             t = e.sum(axis=1)
             # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ from infopower.optimize import (
     _outcome_marginal,
     _project_tangent,
     _reweight_prior,
-    _riemannian_descent,
+    _riemannian_ascent,
     _sphere_step,
     informational_power_lower_bound,
     min_output_entropy,
@@ -259,9 +260,9 @@ class TestMinOutputEntropy:
         assert report.tolerance_used == CONV_TOL
 
 
-class TestDivergenceDescent:
+class TestDivergenceAscent:
     """The first-order check (reference q_bar) and the minimal entropy
-    (reference 1) run one relative-entropy descent; at a uniform reference
+    (reference 1) run one relative-entropy ascent; at a uniform reference
     D(q || 1/n) = log2(n) - H(q), so both meet the public outcome entropy."""
 
     @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
@@ -399,13 +400,15 @@ class TestInformationalPower:
 
         def recording(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
             accepted = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows)
-            if psi.ndim == 3:  # an ensemble block, whose value is -I
-                reached.append(-value[rows][0])
+            if psi.ndim == 3:  # an ensemble block, whose value is I
+                reached.append(value[rows][0])
             return accepted
 
         monkeypatch.setattr(optimize, "_sphere_step", recording)
         p = sic.qutrit_sic_povm()
         report = informational_power_lower_bound(p, starts=1, seed=seed)
+        # the recorded values are I, not -I: a sign slip would make them negative
+        assert max(reached) > 0
         assert report.best_value >= max(reached)
         ensemble = Ensemble([w * np.outer(v, v.conj()) for w, v in report.best_states if w > 0])
         assert mutual_information(joint_distribution(ensemble, p)) == pytest.approx(
@@ -433,8 +436,8 @@ class TestFirstOrderSchedule:
 
         def recording_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows):
             accepted = _sphere_step(objective, psi, grad, value, aux, prev_psi, prev_g, rows)
-            if psi.ndim == 3:  # an ensemble block, whose value is -I
-                steps.append(-value[rows])
+            if psi.ndim == 3:  # an ensemble block, whose value is I
+                steps.append(value[rows])
             return accepted
 
         def recording_check(effects, q_bar, row_rngs, restarts):
@@ -450,6 +453,8 @@ class TestFirstOrderSchedule:
         values = np.full((len(steps) + 1, starts), np.nan)
         for t, v in enumerate(steps, start=1):
             values[t, np.flatnonzero(iterations >= t)] = v
+        # every traced value is an I, so none is negative: a read of -I fails here
+        assert np.all(np.concatenate(steps) >= 0)
         return report, values, checks
 
     CALLS = [(sic.tetrahedral_povm, 6, 9), (sic.qutrit_sic_povm, 6, 7)]
@@ -682,19 +687,20 @@ class TestGradient:
             assert np.linalg.norm(num - grad) / np.linalg.norm(grad) < 1e-5
             checked += 1
 
-    def test_descent_monotone(self, monkeypatch):
+    def test_ascent_monotone(self, monkeypatch):
         p = sic.tetrahedral_povm()
         effects = p.effects
 
         def born(psi):
             return np.clip(np.einsum("yij,ri,rj->ry", effects, psi.conj(), psi).real, 0, None)
 
+        # the entropy is minimized by ascending its negation
         def objective(psi, rows):
             q = born(psi)
-            return np.array([infotheory._entropy_bits(qr) for qr in q]), q
+            return -np.array([infotheory._entropy_bits(qr) for qr in q]), q
 
         def gradient(psi, rows, q):
-            coef = -(np.log2(np.maximum(q, 1e-18)) + 1 / np.log(2))
+            coef = np.log2(np.maximum(q, 1e-18)) + 1 / np.log(2)
             return 2.0 * np.einsum("ry,yij,rj->ri", coef, effects, psi)
 
         changes = []
@@ -711,9 +717,9 @@ class TestGradient:
         for _ in range(20):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
             starts.append(z / np.linalg.norm(z))
-        _riemannian_descent(objective, gradient, np.array(starts))
+        _riemannian_ascent(objective, gradient, np.array(starts))
         assert changes
-        assert np.all(np.concatenate(changes) <= CONV_TOL)
+        assert np.all(np.concatenate(changes) >= -CONV_TOL)
 
 
 def _one_length_search(objective, psi, g, gnorm, value, ascend):
@@ -787,7 +793,10 @@ class TestArmijo:
         # the previous state is the state itself, so the first length is 1
         first = (psi.copy(), np.zeros_like(psi), np.arange(len(psi)))
         if ascend:
-            # the ascent descends the negated objective along the negated gradient
+            values = value.copy()
+            steps = _sphere_step(objective, states, g, values, aux, *first)
+        else:
+            # the descent ascends the negated objective along the negated gradient
             def negated(st, rows):
                 v, steps = objective(st, rows)
                 return -v, steps
@@ -795,9 +804,6 @@ class TestArmijo:
             values = -value
             steps = _sphere_step(negated, states, -g, values, aux, *first)
             values = -values
-        else:
-            values = value.copy()
-            steps = _sphere_step(objective, states, g, values, aux, *first)
 
         assert np.array_equal(steps, ref_steps)
         assert np.array_equal(states, ref_states)
@@ -814,7 +820,7 @@ class TestArmijo:
         assert ref_tried[-1] == tried[-1] == 0
 
     def test_blocks_of_one_state_match_rows(self):
-        objective, psi, g, gnorm, value, tried = self.setup_rows(False)
+        objective, psi, g, gnorm, value, tried = self.setup_rows(True)
         rows = np.arange(len(psi))
         row_states, row_values, row_aux = psi.copy(), value.copy(), np.full(len(psi), np.nan)
         row_steps = _sphere_step(
@@ -835,6 +841,9 @@ class TestArmijo:
             rows,
         )
         assert np.array_equal(block_steps, row_steps)
+        # the first length is 1, so each row takes its own power of two
+        expected = [0.0 if n is None else 2.0**-n for n in self.HALVINGS[:-1]] + [0.0]
+        assert row_steps.tolist() == expected
         assert np.array_equal(block_states[:, 0], row_states)
         assert np.array_equal(block_values, row_values)
         assert np.array_equal(block_aux, row_aux, equal_nan=True)
@@ -861,15 +870,16 @@ class TestBarzilaiBorwein:
         assert lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_blocks_of_one_state_match_rows(self):
-        objective, psi, g, gnorm, value, tried = TestArmijo().setup_rows(False)
+        objective, psi, g, gnorm, value, tried = TestArmijo().setup_rows(True)
         rng = np.random.default_rng(22)
         s = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
         y = s * rng.uniform(-0.5, 4.0, size=(len(psi), 1)) + 0.1 * rng.normal(size=psi.shape)
         # a previous state and tangent gradient that leave a last move s and
-        # a gradient change y, up to rounding
+        # a gradient change y, up to rounding; the ascent's change is the
+        # previous tangent gradient minus the current one
         tangent = _project_tangent(psi, g)
-        prev_psi, prev_g = psi - s, tangent - y
-        s, y = psi - prev_psi, tangent - prev_g
+        prev_psi, prev_g = psi - s, tangent + y
+        s, y = psi - prev_psi, prev_g - tangent
         row_lengths = _bb_length(s, y)
         block_lengths = _bb_length(s[:, None], y[:, None])
         assert np.array_equal(block_lengths, row_lengths)
@@ -897,11 +907,13 @@ class TestBarzilaiBorwein:
         assert np.array_equal(block_prev[0][:, 0], psi)
         assert np.array_equal(block_prev[1][:, 0], tangent)
         assert np.array_equal(block_steps, row_steps)
+        # some rows move, and exactly those raise their value
+        assert (row_steps > 0).any() and np.array_equal(row_values > value, row_steps > 0)
         assert np.array_equal(block_states[:, 0], row_states)
         assert np.array_equal(block_values, row_values)
         assert np.array_equal(block_aux, row_aux, equal_nan=True)
 
-    def test_descent_first_step_tries_one(self, monkeypatch):
+    def test_ascent_first_step_tries_one(self, monkeypatch):
         lengths = []
 
         def recording(s, y):
@@ -1248,6 +1260,21 @@ class TestScroogeEstimate:
         with pytest.raises(FloatingPointError, match="reduction"):
             scrooge_lower_bound_estimate(4, 2 * (optimize._CHUNK_ENTRIES // 4) + 123, seed=5)
         assert threading.active_count() == before
+
+    def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
+        # one row per chunk at d = 4, so anything held per chunk for the whole
+        # call would grow with the sample count
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 4)
+        scrooge_lower_bound_estimate(4, 1000, seed=1)  # warm-up: imports and caches
+        peaks = []
+        for samples in (1000, 4000):
+            tracemalloc.start()
+            try:
+                scrooge_lower_bound_estimate(4, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16 * 1024
 
 
 class TestUniformPovmApproximant:
