@@ -434,14 +434,10 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     exponentials divided by their sum (Wootters 1990). So each sample is
     drawn as such a normalized exponential row, and no state is built.
     Samples are drawn and reduced max(1, _CHUNK_ENTRIES // d) rows at a time
-    in three buffers allocated once: a worker thread draws chunk i+1 into one
-    of two draw buffers while the caller reduces chunk i from the other, with
-    the third for its log2 pass. One generator draws every chunk, in order,
-    so the estimate is the same as a serial pass over one stream. Memory
-    stays at three cache-sized buffers (three rows when d exceeds
-    _CHUNK_ENTRIES) whatever the sample count and the dimension. The worker
-    is joined before the call returns or raises, and an exception from a
-    draw is raised from the call.
+    on the calling thread, in two buffers allocated once: one for the draws
+    and one for their log2 pass. Memory stays at two cache-sized buffers (two
+    rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and the
+    dimension.
     """
     d = _check_count(d, 2)
     samples = _check_count(samples, d * d, what="samples")
@@ -449,32 +445,18 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     # normalized exponential rows: the law of a Haar state's squared moduli
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, _CHUNK_ENTRIES // d), samples)
-    e_bufs, log_buf = np.empty((2, rows, d)), np.empty((rows, d))
-
-    def draw(done):
-        # the chunk from sample `done` on, into the buffer not being reduced
-        return rng.standard_exponential(out=e_bufs[done // rows % 2, : min(rows, samples - done)])
-
+    e_buf, log_buf = np.empty((rows, d)), np.empty((rows, d))
     q_sum = np.zeros(d)
     entropy_sum = 0.0
-    # imported here: concurrent.futures loads logging, which nothing else in
-    # the package needs, so `import infopower` does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    # numpy releases the GIL while it draws and reduces, so the two overlap
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(draw, 0)
-        for done in range(0, samples, rows):
-            e = pending.result()
-            if done + rows < samples:
-                pending = worker.submit(draw, done + rows)
-            log_e = log_buf[: len(e)]
-            t = e.sum(axis=1)
-            # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
-            # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
-            np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
-            q_sum += (1.0 / t) @ e
-            entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))
+    for done in range(0, samples, rows):
+        e = rng.standard_exponential(out=e_buf[: min(rows, samples - done)])
+        log_e = log_buf[: len(e)]
+        t = e.sum(axis=1)
+        # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
+        # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
+        np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
+        q_sum += (1.0 / t) @ e
+        entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))
     value = float(_entropy_bits(q_sum / samples)) - entropy_sum / samples
     return max(value, 0.0)
 

@@ -1076,8 +1076,8 @@ class TestBatchedStarts:
 
 
 def _serial_scrooge(d, samples, seed):
-    """Reference: the Monte-Carlo floor drawn and reduced chunk by chunk on
-    one thread, from the same stream in the same order."""
+    """Reference: the Monte-Carlo floor drawn and reduced chunk by chunk, a
+    fresh array per chunk, from the same stream in the same order."""
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = min(max(1, optimize._CHUNK_ENTRIES // d), samples)
     q_sum = np.zeros(d)
@@ -1195,8 +1195,9 @@ class TestScroogeEstimate:
             "one-row-chunks",
         ],
     )
-    def test_pipeline_equals_the_serial_chunk_loop(self, monkeypatch, d, samples, seed, budget):
-        # the draw thread changes neither the stream nor the reduction order
+    def test_buffers_equal_the_reference_chunk_loop(self, monkeypatch, d, samples, seed, budget):
+        # reusing the two buffers changes neither the stream nor the
+        # reduction order
         if budget is not None:
             monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", budget)
         assert scrooge_lower_bound_estimate(d, samples, seed) == _serial_scrooge(d, samples, seed)
@@ -1226,9 +1227,8 @@ class TestScroogeEstimate:
         assert threading.active_count() == before
 
     def test_concurrent_calls_share_no_state(self, monkeypatch):
-        # four callers at once, each call with its own draw thread, and a
-        # thread switch every microsecond: every estimate is its own seed's
-        # serial one
+        # four callers at once and a thread switch every microsecond: every
+        # estimate is its own seed's reference one
         monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
         expected = {seed: _serial_scrooge(16, 1001, seed) for seed in range(4)}
         got = {}
@@ -1250,7 +1250,7 @@ class TestScroogeEstimate:
         assert not any(t.is_alive() for t in callers)
         assert got == expected
 
-    def test_reduction_error_joins_the_draw_thread(self, monkeypatch):
+    def test_reduction_error_is_raised_and_no_thread_outlives_a_call(self, monkeypatch):
         before = threading.active_count()
 
         def failing_row_dot(a, b):
@@ -1260,6 +1260,15 @@ class TestScroogeEstimate:
         with pytest.raises(FloatingPointError, match="reduction"):
             scrooge_lower_bound_estimate(4, 2 * (optimize._CHUNK_ENTRIES // 4) + 123, seed=5)
         assert threading.active_count() == before
+
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        # a call that started a thread would raise here
+        def no_thread(self):
+            raise RuntimeError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
+        assert scrooge_lower_bound_estimate(16, 1001, 1) == _serial_scrooge(16, 1001, 1)
 
     def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
         # one row per chunk at d = 4, so anything held per chunk for the whole
