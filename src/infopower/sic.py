@@ -12,7 +12,6 @@ from .errors import InvalidInput, NotSic
 from .states import Ensemble, Povm, _hermitian_stack
 
 SIC_TOL = 1e-9
-RANK_TOL = 1e-9
 
 
 def _ket(*amps) -> np.ndarray:
@@ -77,28 +76,19 @@ def qutrit_orthonormal_ensemble() -> Ensemble:
     return Ensemble([hilbert.outer(k) / 3 for k in kets])
 
 
-def clock_shift(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift X (|m> -> |m+1 mod d|) and clock Z (|m> -> w^m |m>) matrices."""
-    shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-    return shift, clock
-
-
 def wh_covariant_povm(fiducial) -> Povm:
     """Orbit of a fiducial vector under the displacement operators X^j Z^k.
 
-    Returns the d^2 effects (1/d) D |f><f| D+; the orbit always resolves the
-    identity, so the result is a valid POVM whether or not the fiducial
-    generates a SIC set.
+    Returns the d^2 effects (1/d) D |f><f| D+ with D = X^j Z^k in the order
+    j*d + k, where the clock Z multiplies amplitude m by w^(k*m), w =
+    exp(2 pi i/d), and the shift X moves it to m + j mod d. The orbit always
+    resolves the identity, so the result is a valid POVM whether or not the
+    fiducial generates a SIC set.
     """
     f = hilbert.check_state_vector(fiducial)
     d = len(f)
-    shift, clock = clock_shift(d)
-    kets = np.array([
-        np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k) @ f
-        for j in range(d)
-        for k in range(d)
-    ])
+    phased = np.exp(2j * np.pi * np.arange(d) / d) ** np.arange(d)[:, None] * f
+    kets = np.stack([np.roll(phased, j, axis=1) for j in range(d)]).reshape(d * d, d)
     return Povm(kets[:, :, None] * kets[:, None, :].conj() / d)
 
 
@@ -147,7 +137,7 @@ def is_sic(elements) -> SicCertificate:
         n == d * d
         and trace_dev <= SIC_TOL
         and pair_dev <= SIC_TOL
-        and rank_dev <= RANK_TOL
+        and rank_dev <= SIC_TOL
     )
     return SicCertificate(
         dim=d,

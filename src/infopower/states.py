@@ -223,7 +223,7 @@ def load(path):
 
 def save(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(obj), fh)
+        fh.write(json.dumps(to_json_dict(obj)))
 
 
 def load_fiducial(path) -> np.ndarray:

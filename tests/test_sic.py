@@ -6,14 +6,13 @@ from infopower.errors import InvalidInput, InvalidOperator
 from infopower.sic import (
     SIC_TOL,
     antitetrahedral_ensemble,
-    clock_shift,
     is_sic,
     qutrit_orthonormal_ensemble,
     qutrit_sic_povm,
     tetrahedral_povm,
     wh_covariant_povm,
 )
-from infopower.states import SUM_TOL, average_state
+from infopower.states import SUM_TOL, average_state, load_fiducial
 
 from conftest import qubit_wh_fiducial
 
@@ -112,11 +111,36 @@ class TestQutritOrthonormal:
 
 
 class TestWeylHeisenberg:
-    def test_clock_shift_commutation(self):
-        for d in (2, 3, 5):
-            shift, clock = clock_shift(d)
+    def test_orbit_equals_the_displaced_fiducial_projectors(self, d4_fiducial_path):
+        # reference: effect j*d + k is (1/d) D|f><f|D+ with D = X^j Z^k built
+        # from dense shift and clock matrices; the two agree bit for bit at
+        # d <= 4 and round apart by about 1e-17 above
+        rng = np.random.default_rng(30)
+        for d in range(2, 17):
+            shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+            clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
             w = np.exp(2j * np.pi / d)
             np.testing.assert_allclose(clock @ shift, w * shift @ clock, atol=1e-12)
+            fiducials = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2)]
+            if d == 4:
+                fiducials.append(load_fiducial(d4_fiducial_path))
+            for z in fiducials:
+                f = z / np.linalg.norm(z)
+                effects = wh_covariant_povm(f).effects
+                for j in range(d):
+                    for k in range(d):
+                        ket = (
+                            np.linalg.matrix_power(shift, j)
+                            @ np.linalg.matrix_power(clock, k)
+                            @ f
+                        )
+                        expected = np.outer(ket, ket.conj()) / d
+                        if d <= 4:
+                            assert np.array_equal(effects[j * d + k], expected)
+                        else:
+                            np.testing.assert_allclose(
+                                effects[j * d + k], expected, rtol=0, atol=1e-15
+                            )
 
     def test_non_fiducial_still_resolves_identity(self):
         p = wh_covariant_povm(np.array([1, 1]) / np.sqrt(2))

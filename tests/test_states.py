@@ -336,6 +336,18 @@ class TestSerialization:
         for a, b in zip(e.states, loaded.states):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
+    def test_save_takes_the_c_encoder(self, tmp_path, monkeypatch):
+        # json.dump always streams through the pure-Python encoder; this
+        # patch makes it raise, and json.dumps never reaches it
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        for obj in (sic.antitetrahedral_ensemble(), sic.qutrit_sic_povm()):
+            path = tmp_path / "obj.json"
+            states.save(obj, path)
+            assert path.read_bytes() == json.dumps(states.to_json_dict(obj)).encode()
+
     @pytest.mark.parametrize("dim", [7, 1, "2", 2.0, None])
     def test_rejects_declared_dim_unlike_elements(self, dim):
         data = states.to_json_dict(sic.tetrahedral_povm())
