@@ -216,8 +216,9 @@ def main(argv=None) -> int:
     try:
         # looked up at dispatch: a handler rebound after the parser was built is called
         return globals()[args.func](args)
-    except (InfopowerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfopowerError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -44,6 +44,7 @@ _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
 _REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
 _DIVERGENCE_RESTARTS = 3  # ascents per first-order-optimality check
+_CHECK_POOL = 64  # Haar draws screened by D for each check ascent's start
 _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
@@ -256,16 +257,23 @@ def _riemannian_ascent(objective, gradient, psi):
     return psi, value, iterations, converged
 
 
-def _divergence_search(factor, ref, rngs, restarts):
+def _divergence_search(factor, ref, rngs, restarts, pool=1):
     """For every row r of the references ref (k, n) or (k, 1), floored at
     _LOG_FLOOR, the pure state maximizing D(Born(psi) || r) in bits (with
-    r = 1, -D is the outcome entropy): D ascends from `restarts` Haar states
-    drawn from the row's stream in rngs, all as one stack, and the row keeps
-    its best ascent. Returns (states (k, d), divergences, iterations,
-    converged), one entry per row. factor is the POVM's Povm.factor."""
-    ref = np.repeat(np.maximum(ref, _LOG_FLOOR), restarts, axis=0)
+    r = 1, -D is the outcome entropy): D ascends from `restarts` states, all
+    as one stack, and the row keeps its best ascent. Each ascent starts from
+    the highest-D of `pool` Haar states; a row draws its restarts * pool
+    states in one call on its stream in rngs, restart by restart. Returns
+    (states (k, d), divergences, iterations, converged), one entry per row.
+    factor is the POVM's Povm.factor."""
+    ref = np.maximum(ref, _LOG_FLOOR)
     dim = factor.shape[-1]
-    psi0 = np.concatenate([_haar_from_rng(rng, dim) for rng in rngs for _ in range(restarts)])
+    draws = np.stack([_haar_from_rng(rng, dim, restarts * pool) for rng in rngs])
+    draws = draws.reshape(len(rngs), restarts, pool, dim)
+    score = _divergence_bits(_born(factor, draws), ref[:, None, None, :])
+    pick = np.argmax(score, axis=2)[..., None, None]
+    psi0 = np.take_along_axis(draws, pick, axis=2).reshape(-1, dim)
+    ref = np.repeat(ref, restarts, axis=0)
 
     def objective(psi, rows):
         q = _born(factor, psi)
@@ -397,7 +405,11 @@ def informational_power_lower_bound(
             # D(q_phi || q_bar) <= I; a stalled start with no violating state
             # found has converged, a start with one takes it and goes on
             phi, divergence, _, _ = _divergence_search(
-                factor, _outcome_marginal(w, c), [rngs[s] for s in live], _DIVERGENCE_RESTARTS
+                factor,
+                _outcome_marginal(w, c),
+                [rngs[s] for s in live],
+                _DIVERGENCE_RESTARTS,
+                _CHECK_POOL,
             )
             violated = divergence > value + 10 * CONV_TOL
             converged[live[~violated & stalled]] = True

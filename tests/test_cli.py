@@ -292,6 +292,24 @@ class TestOptimizerCommands:
         assert code == 2
         assert "--max-support" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError(), MemoryError("Unable to allocate 8.00 TiB for an array with shape (1, 2)")],
+        ids=["bare", "numpy"],
+    )
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, error):
+        # the handler is looked up at dispatch, so the rebound one raises;
+        # nothing large is allocated
+        def out_of_memory(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_scrooge", out_of_memory)
+        code = main(["scrooge", "--dim", "2", "--samples", "100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_zero_starts_is_usage_error(self, capsys):
         code = main(["power", "--builtin", "tetrahedral", "--starts", "0"])
         assert code == 2

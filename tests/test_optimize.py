@@ -276,6 +276,48 @@ class TestDivergenceAscent:
             deficit = np.log2(n) - conditional_output_entropy(p, state)
             assert value == pytest.approx(deficit, rel=0, abs=1e-12)
 
+    @staticmethod
+    def recorded_starts(monkeypatch, p, ref, seeds, restarts, pool):
+        """The states (k * restarts, d) that _divergence_search hands its
+        ascent, with each row's stream a default_rng of seeds."""
+        starts = []
+
+        def recording(objective, gradient, psi):
+            starts.append(psi.copy())
+            return _riemannian_ascent(objective, gradient, psi)
+
+        monkeypatch.setattr(optimize, "_riemannian_ascent", recording)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        optimize._divergence_search(p.factor, ref, rngs, restarts, pool)
+        (psi0,) = starts
+        return psi0
+
+    @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
+    def test_each_check_ascent_starts_from_its_highest_divergence_draw(self, monkeypatch, povm):
+        p = povm()
+        n, d = len(p.effects), p.dim
+        seeds = range(11, 16)
+        q_bar = np.random.default_rng(5).dirichlet(np.ones(n), size=len(seeds))
+        psi0 = self.recorded_starts(monkeypatch, p, q_bar, seeds, 3, 64)
+        assert psi0.shape == (3 * len(seeds), d)
+        for k, seed in enumerate(seeds):
+            # the row's 192 draws, one group of 64 per restart, each scored alone
+            draws = _haar_from_rng(np.random.default_rng(seed), d, 3 * 64).reshape(3, 64, d)
+            for j, group in enumerate(draws):
+                scores = [
+                    infotheory._divergence_bits(infotheory._born(p.factor, v), q_bar[k])
+                    for v in group
+                ]
+                assert np.array_equal(psi0[3 * k + j], group[np.argmax(scores)])
+
+    def test_one_draw_pool_starts_from_the_streams_first_draw(self, monkeypatch):
+        # min_output_entropy's call: one restart from one draw per row
+        p = sic.qutrit_sic_povm()
+        seeds = range(21, 27)
+        psi0 = self.recorded_starts(monkeypatch, p, np.ones((len(seeds), 1)), seeds, 1, 1)
+        first = [_haar_from_rng(np.random.default_rng(seed), p.dim)[0] for seed in seeds]
+        assert np.array_equal(psi0, np.array(first))
+
     @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
     def test_min_entropy_is_the_entropy_of_its_state(self, povm):
         p = povm()
@@ -316,6 +358,13 @@ class TestInformationalPower:
         report = informational_power_lower_bound(sic.qutrit_sic_povm(), starts=24, seed=seed)
         assert max(report.iterations_per_start) < MAX_ITER
         np.testing.assert_allclose(report.values_per_start, np.log2(3 / 2), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_tetrahedral_every_start_reaches_the_sic_bound(self, seed):
+        # no start may stop at a local optimum such as 0.3933819: its
+        # first-order check must find the violating state
+        report = informational_power_lower_bound(sic.tetrahedral_povm(), starts=100, seed=seed)
+        np.testing.assert_allclose(report.values_per_start, np.log2(4 / 3), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_basis_povm_reaches_log_d(self, d):
@@ -363,8 +412,8 @@ class TestInformationalPower:
         # start takes it and goes on: none stops early, none converges
         check = optimize._divergence_search
 
-        def violating(effects, q_bar, rngs, restarts):
-            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts)
+        def violating(effects, q_bar, rngs, restarts, pool):
+            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts, pool)
             return phi, divergence + 10.0, iterations, converged
 
         monkeypatch.setattr(optimize, "_divergence_search", violating)
@@ -440,10 +489,10 @@ class TestFirstOrderSchedule:
                 steps.append(value[rows])
             return accepted
 
-        def recording_check(effects, q_bar, row_rngs, restarts):
+        def recording_check(effects, q_bar, row_rngs, restarts, pool):
             checked = [next(i for i, r in enumerate(rngs) if r is rng) for rng in row_rngs]
             checks.append((len(steps), checked))
-            return check(effects, q_bar, row_rngs, restarts)
+            return check(effects, q_bar, row_rngs, restarts, pool)
 
         monkeypatch.setattr(optimize, "_start_rngs", recording_rngs)
         monkeypatch.setattr(optimize, "_sphere_step", recording_step)
@@ -939,9 +988,9 @@ class TestBarzilaiBorwein:
                 events.append(float(length[0]))
             return length
 
-        def violating_check(effects, q_bar, rngs, restarts):
+        def violating_check(effects, q_bar, rngs, restarts, pool):
             events.append("check")
-            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts)
+            phi, divergence, iterations, converged = check(effects, q_bar, rngs, restarts, pool)
             return phi, divergence + 10.0, iterations, converged
 
         monkeypatch.setattr(optimize, "_bb_length", recording_length)
@@ -998,25 +1047,26 @@ class TestBatchedStarts:
     # from the sphere step that first tries the Barzilai-Borwein length of
     # each row's (each ensemble's) last move; the see-saw entries are those
     # of the block see-saw, which ascends all states of an ensemble in one step
-    # and checks first-order optimality every _CHECK_EVERY iterations. The
+    # and checks first-order optimality every _CHECK_EVERY iterations, each
+    # check ascent from the best of _CHECK_POOL Haar draws. The
     # iteration counts are those of Born probabilities and gradients taken
     # through the POVM's factor: a kernel that rounds differently can move a
     # start's stop by one check or one step.
     SERIAL = {
         "power-tetrahedral": (
             [
+                0.4150374992788438,
                 0.4150374992788439,
-                0.4150374992788437,
-                0.4150374992788437,
-                0.4150374992788437,
-                0.41503749927884354,
-                0.4150374992788435,
+                0.41503749927884404,
+                0.4150374992788439,
+                0.41503749927884415,
+                0.41503749927884387,
             ],
-            [20, 20, 20, 20, 30, 20],
+            [20, 20, 20, 20, 30, 25],
         ),
         "power-qutrit": (
-            [0.5849625007210755, 0.5849625007211562, 0.5849625004150371, 0.5849625007211561],
-            [15, 20, 20, 35],
+            [0.5849625007211562, 0.5849625007210684, 0.5849625007211563, 0.5849625007211341],
+            [15, 15, 20, 45],
         ),
         "minent-qutrit": (
             [
