@@ -87,7 +87,7 @@ def support_basis(op) -> np.ndarray:
     return vecs[:, vals > KERNEL_TOL]
 
 
-def outer(v) -> np.ndarray:
-    """Rank-one projector |v><v| of a normalized vector."""
-    v = check_state_vector(v)
-    return np.outer(v, v.conj())
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """Rank-one operators |k><k| of the rows of kets: (n, d) -> (n, d, d).
+    The kets are not checked; Povm and Ensemble validate what they receive."""
+    return kets[:, :, None] * kets[:, None, :].conj()

@@ -49,6 +49,7 @@ _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
 _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk buffer: 1 MiB of float64
+_MAX_STARTS = 10**5  # starts per search: each gets its own generator and states
 
 RNG_ALGORITHM = "pcg64"
 
@@ -64,9 +65,7 @@ class OptimizationReport:
     iterations_per_start: list
     values_per_start: list
     seed: int
-    tolerance_used: float
     rng_algorithm: str = RNG_ALGORITHM
-    any_zero_weight: bool = False
 
     def to_json_dict(self) -> dict:
         out = dict(vars(self))
@@ -89,9 +88,16 @@ def _report(seed, values, iterations, converged, weights, states, best) -> Optim
         iterations_per_start=iterations.tolist(),
         values_per_start=values.tolist(),
         seed=seed,
-        tolerance_used=CONV_TOL,
-        any_zero_weight=bool(np.any(weights < _LOG_FLOOR)),
     )
+
+
+def _check_starts(starts) -> int:
+    """starts as an int from 1 to _MAX_STARTS, InvalidInput otherwise. Each
+    search calls it first, before it makes any generator or state stack."""
+    starts = _check_count(starts, 1, InvalidInput, "starts")
+    if starts > _MAX_STARTS:
+        raise InvalidInput(f"starts must be at most {_MAX_STARTS}, got {starts}")
+    return starts
 
 
 def _start_rngs(seed: int, starts: int):
@@ -293,7 +299,7 @@ def min_output_entropy(p: Povm, starts: int = 100, seed: int = 0) -> Optimizatio
     All starts ascend D(q || 1) = -H(q) together as one stack, each from a
     Haar state drawn from its own stream.
     """
-    starts = _check_count(starts, 1, InvalidInput, "starts")
+    starts = _check_starts(starts)
     seed = _check_count(seed, 0, InvalidInput, "seed")
     psis, divergence, iterations, converged = _divergence_search(
         p.factor, np.ones((starts, 1)), _start_rngs(seed, starts), 1
@@ -353,7 +359,7 @@ def informational_power_lower_bound(
     start's value is the mutual information of the best ensemble it reached
     after any step or injection, and that ensemble is the one reported.
     """
-    starts = _check_count(starts, 1, InvalidInput, "starts")
+    starts = _check_starts(starts)
     seed = _check_count(seed, 0, InvalidInput, "seed")
     d = p.dim
     m = d * d
@@ -486,4 +492,4 @@ def uniform_povm_approximant(d: int, n: int, seed: int = 0) -> Povm:
     s = psis.T @ psis.conj()
     balance = hilbert.op_inv_sqrt(s)
     rotated = psis @ balance.T
-    return Povm(rotated[:, :, None] * rotated[:, None, :].conj())
+    return Povm(hilbert._projectors(rotated))

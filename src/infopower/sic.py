@@ -14,21 +14,12 @@ from .states import Ensemble, Povm, _hermitian_stack
 SIC_TOL = 1e-9
 
 
-def _ket(*amps) -> np.ndarray:
-    return np.array(amps, dtype=complex)
-
-
 def tetrahedral_povm() -> Povm:
     """The four-outcome qubit SIC POVM with effects |pi_y><pi_y| / 2."""
     w = np.exp(2j * np.pi / 3)
     a, b = 1 / np.sqrt(3), np.sqrt(2 / 3)
-    kets = [
-        _ket(1, 0),
-        _ket(a, b),
-        _ket(a, w * b),
-        _ket(a, w.conjugate() * b),
-    ]
-    return Povm([hilbert.outer(k) / 2 for k in kets])
+    kets = np.array([[1, 0], [a, b], [a, w * b], [a, w.conjugate() * b]], dtype=complex)
+    return Povm(hilbert._projectors(kets) / 2)
 
 
 def antitetrahedral_ensemble() -> Ensemble:
@@ -37,13 +28,8 @@ def antitetrahedral_ensemble() -> Ensemble:
     u = np.exp(1j * np.pi / 3)
     a, b = 1 / np.sqrt(3), np.sqrt(2 / 3)
     # ordered so that <psi_x|pi_x> = 0 against tetrahedral_povm
-    kets = [
-        _ket(0, 1),
-        _ket(b, -a),
-        _ket(b, u.conjugate() * a),
-        _ket(b, u * a),
-    ]
-    return Ensemble([hilbert.outer(k) / 4 for k in kets])
+    kets = np.array([[0, 1], [b, -a], [b, u.conjugate() * a], [b, u * a]], dtype=complex)
+    return Ensemble(hilbert._projectors(kets) / 4)
 
 
 def qutrit_sic_povm() -> Povm:
@@ -51,29 +37,28 @@ def qutrit_sic_povm() -> Povm:
     w = np.exp(2j * np.pi / 3)
     s3 = np.sqrt(3) / 2
     r2 = 1 / np.sqrt(2)
-    kets = [
-        _ket(1, 0, 0),
-        _ket(0.5, 1j * s3, 0),
-        _ket(0.5, -1j * s3, 0),
-        _ket(0.5, 0.5, r2),
-        _ket(0.5, 0.5, w * r2),
-        _ket(0.5, 0.5, w.conjugate() * r2),
-        _ket(0.5, -0.5, r2),
-        _ket(0.5, -0.5, w * r2),
-        _ket(0.5, -0.5, w.conjugate() * r2),
-    ]
-    return Povm([hilbert.outer(k) / 3 for k in kets])
+    kets = np.array(
+        [
+            [1, 0, 0],
+            [0.5, 1j * s3, 0],
+            [0.5, -1j * s3, 0],
+            [0.5, 0.5, r2],
+            [0.5, 0.5, w * r2],
+            [0.5, 0.5, w.conjugate() * r2],
+            [0.5, -0.5, r2],
+            [0.5, -0.5, w * r2],
+            [0.5, -0.5, w.conjugate() * r2],
+        ],
+        dtype=complex,
+    )
+    return Povm(hilbert._projectors(kets) / 3)
 
 
 def qutrit_orthonormal_ensemble() -> Ensemble:
     """Three mutually orthogonal qutrit states with weight 1/3 each."""
     r2 = 1 / np.sqrt(2)
-    kets = [
-        _ket(0, 0, 1),
-        _ket(-r2, r2, 0),
-        _ket(r2, r2, 0),
-    ]
-    return Ensemble([hilbert.outer(k) / 3 for k in kets])
+    kets = np.array([[0, 0, 1], [-r2, r2, 0], [r2, r2, 0]], dtype=complex)
+    return Ensemble(hilbert._projectors(kets) / 3)
 
 
 def wh_covariant_povm(fiducial) -> Povm:
@@ -89,7 +74,7 @@ def wh_covariant_povm(fiducial) -> Povm:
     d = len(f)
     phased = np.exp(2j * np.pi * np.arange(d) / d) ** np.arange(d)[:, None] * f
     kets = np.stack([np.roll(phased, j, axis=1) for j in range(d)]).reshape(d * d, d)
-    return Povm(kets[:, :, None] * kets[:, None, :].conj() / d)
+    return Povm(hilbert._projectors(kets) / d)
 
 
 @dataclass(frozen=True)

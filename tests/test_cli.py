@@ -315,6 +315,34 @@ class TestOptimizerCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["power", "minent"])
+    def test_starts_above_the_cap_is_usage_error(self, capsys, monkeypatch, command):
+        # the cap is checked before any generator is made
+        def fail(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(optimize, "_start_rngs", fail)
+        code = main([command, "--builtin", "qutrit", "--starts", "100000000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "starts" in err and str(optimize._MAX_STARTS) in err
+
+    @pytest.mark.parametrize("command", ["power", "minent"])
+    def test_report_keys(self, capsys, command):
+        # the JSON contract README lists; a new key is a deliberate change
+        _, out = run(capsys, command, "--builtin", "tetrahedral", "--starts", "2", "--seed", "1")
+        assert set(json.loads(out)) == {
+            "best_value",
+            "best_states",
+            "starts",
+            "converged_starts",
+            "iterations_per_start",
+            "values_per_start",
+            "seed",
+            "rng_algorithm",
+        }
+
 
 class TestParserReuse:
     """main builds its parser once per process and looks handlers up by name

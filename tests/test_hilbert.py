@@ -10,13 +10,13 @@ from infopower.errors import (
 )
 from infopower.hilbert import (
     KERNEL_TOL,
+    _projectors,
     eigh,
     op_inv_sqrt,
     op_sqrt,
-    outer,
 )
 
-from conftest import RECON_TOL, random_hermitian
+from conftest import RECON_TOL, random_hermitian, random_pure_states
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -134,31 +134,12 @@ class TestOpInvSqrt:
             assert np.sum(np.linalg.eigvalsh(op) > KERNEL_TOL) == r
 
 
-class TestOuter:
-    def test_basis_state(self):
-        np.testing.assert_allclose(outer([1, 0]), np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_plus_state(self):
-        np.testing.assert_allclose(
-            outer(np.array([1, 1]) / np.sqrt(2)), np.full((2, 2), 0.5), atol=1e-12
-        )
-
-    def test_tetrahedral_direction(self):
-        v = np.array([1 / np.sqrt(3), np.sqrt(2 / 3)])
-        np.testing.assert_allclose(np.diag(outer(v)).real, [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidState):
-            outer([1, 1])
-
-    def test_rank_one_trace_one(self):
-        rng = np.random.default_rng(3)
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        p = outer(z / np.linalg.norm(z))
-        vals = np.linalg.eigvalsh(p)
-        assert abs(np.trace(p).real - 1) < 1e-12
-        assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(vals[:-1])) < 1e-12
+class TestProjectors:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_rows_are_the_outer_products_bit_for_bit(self, d):
+        kets = random_pure_states(np.random.default_rng(d), d * d + 1, d)
+        expected = np.stack([np.outer(k, k.conj()) for k in kets])
+        assert _projectors(kets).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -194,7 +175,6 @@ POVM = sic.tetrahedral_povm()
         (op_inv_sqrt, [[HUGE, 0], [0, 1]], InvalidOperator),
         (hilbert.support_basis, [["x", 0], [0, 1]], InvalidOperator),
         (hilbert.check_state_vector, [1, [0]], InvalidState),
-        (outer, ["a", 0], InvalidState),
         (partial(infotheory.index_of_coincidence, POVM), RAGGED, InvalidOperator),
         (partial(states.pretty_good_ensemble, POVM), [[0.5, "x"], [0, 0.5]], InvalidOperator),
         (partial(states.restrict_to_support, POVM), [[HUGE, 0], [0, 0]], InvalidOperator),

@@ -25,6 +25,7 @@ from infopower.optimize import (
     _ARMIJO_C,
     _ARMIJO_SHRINK,
     _CHECK_EVERY,
+    _MAX_STARTS,
     _MIN_STEP,
     CONV_TOL,
     GRAD_TOL,
@@ -179,6 +180,42 @@ def test_count_argument_outside_its_range_is_typed(call, err):
         call()
 
 
+class TestStartsCap:
+    """A search over more than _MAX_STARTS starts is a usage error, raised
+    before a generator is made or the POVM is tested for triviality; at the
+    cap the search reaches its generators."""
+
+    TRIVIAL = Povm([np.eye(2) / 2, np.eye(2) / 2])
+    CASES = [
+        (informational_power_lower_bound, TETRAHEDRAL),
+        (min_output_entropy, TETRAHEDRAL),
+        (informational_power_lower_bound, TRIVIAL),
+    ]
+
+    class Reached(Exception):
+        pass
+
+    @pytest.mark.parametrize("solver, p", CASES, ids=["power", "minent", "power-trivial"])
+    def test_above_the_cap_raises_first(self, monkeypatch, solver, p):
+        def fail(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(optimize, "_start_rngs", fail)
+        monkeypatch.setattr(optimize, "_is_trivial_povm", fail)
+        with pytest.raises(InvalidInput, match=f"starts must be at most {_MAX_STARTS}"):
+            solver(p, starts=_MAX_STARTS + 1, seed=1)
+
+    @pytest.mark.parametrize("solver", [informational_power_lower_bound, min_output_entropy])
+    def test_the_cap_itself_passes(self, monkeypatch, solver):
+        def reached(seed, starts):
+            assert starts == _MAX_STARTS
+            raise self.Reached
+
+        monkeypatch.setattr(optimize, "_start_rngs", reached)
+        with pytest.raises(self.Reached):
+            solver(TETRAHEDRAL, starts=_MAX_STARTS, seed=1)
+
+
 @pytest.mark.parametrize("int_type", [np.int32, np.int64, np.uint8])
 class TestNumpyIntegerCounts:
     @pytest.mark.parametrize("solver", [informational_power_lower_bound, min_output_entropy])
@@ -257,7 +294,6 @@ class TestMinOutputEntropy:
         assert len(report.iterations_per_start) == 8
         assert report.converged_starts == 8
         assert report.rng_algorithm == "pcg64"
-        assert report.tolerance_used == CONV_TOL
 
 
 class TestDivergenceAscent:
@@ -636,11 +672,15 @@ class TestWhOrbitOracle:
     weights 1/d^2 has a uniform outcome marginal and outcome entropy H(q_psi)
     at every orbit state, so its mutual information is 2 log2 d - H(q_psi)."""
 
+    @pytest.mark.parametrize("eta", [1, 0.9, 0.5, 0.1])
     @pytest.mark.parametrize("d", range(2, 6))
     @pytest.mark.parametrize("s", range(3))
-    def test_orbit_information_is_two_log_d_minus_the_entropy(self, d, s):
+    def test_orbit_information_is_two_log_d_minus_the_entropy(self, d, s, eta):
+        # E(eta) = eta E + (1 - eta) I/d^2 is WH covariant too; below 1 its
+        # effects are full rank
         f, psi = random_pure_states(np.random.default_rng(100 * d + s), 2, d)
-        p = sic.wh_covariant_povm(f)
+        p = Povm(eta * sic.wh_covariant_povm(f).effects + (1 - eta) * np.eye(d) / d**2)
+        assert p.factor.shape[1] == (1 if eta == 1 else d)
         # the orbit's states D|psi><psi|D+ with weights 1/d^2 are the effects
         # of psi's own WH POVM divided by d
         ensemble = Ensemble(list(sic.wh_covariant_povm(psi).effects / d))
