@@ -12,8 +12,9 @@ serves the see-saw's first-order check, r its marginal q, and the minimal
 outcome entropy, r = 1: H(q) = -D(q || 1), and only the entropy's own
 functions (min_output_entropy, output_entropy_gradient) negate. The
 see-saw reads I = sum_x w_x D(p(.|x) || q): it alternates a fixed number
-of Blahut-Arimoto sweeps on the prior (w_x times 2^D) with one such step
-on all states of each ensemble along w_x times the gradient of D. Every
+of over-relaxed Blahut-Arimoto sweeps on the prior (w_x times 2^(mu D)),
+guarded so that no start's I falls, with one such step on all states of
+each ensemble along w_x times the gradient of D. Every
 _CHECK_EVERY iterations it checks first-order optimality, in one call, on
 every start still running; a start with a violating state takes it and
 goes on, up to MAX_ITER, and each start reports the best ensemble it
@@ -22,7 +23,9 @@ of states: the ascent and the see-saw keep full per-start arrays (states,
 values, Barzilai-Borwein memory), and each _sphere_step moves the rows
 listed in `live`, the starts that have not stopped, in place on them.
 Seeded runs repeat exactly: search starts read SeedSequence(seed).spawn
-streams; the approximant and the Monte-Carlo floor read one PCG64(seed).
+streams, all of a stack's draws written into one buffer; the approximant and
+the Monte-Carlo floor read one PCG64(seed), the floor its exponentials as
+-ln u of its uniforms u.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,8 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_BATCH = 4  # step lengths tried per line-search evaluation
 _ARMIJO_SCALES = _ARMIJO_SHRINK ** np.arange(_ARMIJO_BATCH)
-_REWEIGHT_SWEEPS = 60  # prior-reweighting sweeps per see-saw iteration
+_REWEIGHT_SWEEPS = 20  # prior-reweighting sweeps per see-saw iteration
+_OVER_RELAX = 3.0  # exponent factor mu of an over-relaxed Blahut-Arimoto sweep
 _DIVERGENCE_RESTARTS = 3  # ascents per first-order-optimality check
 _CHECK_POOL = 64  # Haar draws screened by D for each check ascent's start
 _CHECK_EVERY = 5  # see-saw iterations between first-order-optimality checks
@@ -50,6 +54,7 @@ _MIN_STEP = 1e-16
 _LOG_FLOOR = 1e-18
 _CHUNK_ENTRIES = 1 << 17  # exponential draws per Monte-Carlo chunk buffer: 1 MiB of float64
 _MAX_STARTS = 10**5  # starts per search: each gets its own generator and states
+_MAX_FLOOR_DIM = 10**5  # dimension of the Monte-Carlo floor: a draw row holds d floats
 
 RNG_ALGORITHM = "pcg64"
 
@@ -111,6 +116,18 @@ def _haar_from_rng(rng, dim: int, n: int = 1) -> np.ndarray:
     """n x dim Haar states: real then imaginary Gaussian parts, row-normalized."""
     z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _haar_stack(rngs, dim: int, n: int) -> np.ndarray:
+    """(k, n, dim) stack of _haar_from_rng(rng, dim, n) for the k streams in
+    rngs, bit for bit: each stream fills its (2, n, dim) slot of one buffer
+    with its real then imaginary Gaussian parts, and the complex assembly
+    and the row normalization run once over the whole stack."""
+    buf = np.empty((len(rngs), 2, n, dim))
+    for rng, slot in zip(rngs, buf):
+        rng.standard_normal(out=slot)
+    z = buf[:, 0] + 1j * buf[:, 1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 # Kernels on stacked pure states: every function maps the trailing axis and
@@ -274,8 +291,7 @@ def _divergence_search(factor, ref, rngs, restarts, pool=1):
     factor is the POVM's Povm.factor."""
     ref = np.maximum(ref, _LOG_FLOOR)
     dim = factor.shape[-1]
-    draws = np.stack([_haar_from_rng(rng, dim, restarts * pool) for rng in rngs])
-    draws = draws.reshape(len(rngs), restarts, pool, dim)
+    draws = _haar_stack(rngs, dim, restarts * pool).reshape(len(rngs), restarts, pool, dim)
     score = _divergence_bits(_born(factor, draws), ref[:, None, None, :])
     pick = np.argmax(score, axis=2)[..., None, None]
     psi0 = np.take_along_axis(draws, pick, axis=2).reshape(-1, dim)
@@ -318,21 +334,42 @@ def _mutual_information_bits(weights: np.ndarray, cond: np.ndarray) -> np.ndarra
     return _row_dot(weights, _row_dot(cond, np.log2(np.maximum(cond, _LOG_FLOOR) / q)))
 
 
-def _reweight_prior(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """Blahut-Arimoto update of every row's prior (Blahut 1972; Arimoto 1972).
-
-    Each of _REWEIGHT_SWEEPS sweeps multiplies every w_x by 2^D(p(.|x) || q),
-    q the current outcome marginal, and renormalizes; D is split as
-    sum_y p log2 p - sum_y p log2 q (floored as in _mutual_information_bits)
-    and a sweep takes only the second sum, one log. Every row runs every
-    sweep, so a row's result does not depend on the rows beside it.
-    """
-    c_logc = _row_dot(cond, np.log2(np.maximum(cond, _LOG_FLOOR)))
+def _blahut_arimoto(weights, cond, c_logc, mu):
+    """_REWEIGHT_SWEEPS sweeps on every row, each multiplying every w_x by
+    2^(mu D(p(.|x) || q)), q the current outcome marginal, and renormalizing;
+    D is split as sum_y p log2 p - sum_y p log2 q (floored as in
+    _mutual_information_bits), the first sum c_logc given, so a sweep takes
+    one log. mu is folded into c_logc and cond once, not per sweep."""
+    mu_c_logc, mu_cond = mu * c_logc, mu * cond
     w = weights
     for _ in range(_REWEIGHT_SWEEPS):
         log_q = np.log2(np.maximum(_outcome_marginal(w, cond), _LOG_FLOOR))
-        w = w * np.exp2(c_logc - (cond @ log_q[..., None])[..., 0])
+        w = w * np.exp2(mu_c_logc - (mu_cond @ log_q[..., None])[..., 0])
         w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+def _reweight_prior(weights: np.ndarray, cond: np.ndarray) -> np.ndarray:
+    """Guarded over-relaxed Blahut-Arimoto update of every row's prior
+    (Blahut 1972; Arimoto 1972; Matz-Duhamel 2004; Yu 2010).
+
+    The sweeps multiply w_x by 2^(mu D) with mu = _OVER_RELAX, which moves
+    further per sweep than the plain mu = 1 but need not raise I. So any row
+    whose I at the result is below its I at the input weights is recomputed
+    from its input weights by plain sweeps, which raise I in exact arithmetic;
+    a row that they still leave below, by rounding near a fixed point, keeps
+    its input weights. So no row's I falls. Every row runs every sweep and its
+    own tests, so a row's result does not depend on the rows beside it.
+    """
+    c_logc = _row_dot(cond, np.log2(np.maximum(cond, _LOG_FLOOR)))
+    before = _mutual_information_bits(weights, cond)
+    w = _blahut_arimoto(weights, cond, c_logc, _OVER_RELAX)
+    fell = np.flatnonzero(_mutual_information_bits(w, cond) < before)
+    if fell.size:
+        plain = _blahut_arimoto(weights[fell], cond[fell], c_logc[fell], 1.0)
+        still = _mutual_information_bits(plain, cond[fell]) < before[fell]
+        plain[still] = weights[fell[still]]
+        w[fell] = plain
     return w
 
 
@@ -373,7 +410,7 @@ def informational_power_lower_bound(
     rngs = _start_rngs(seed, starts)
     # every start's states (S, m, d), priors (S, m), conditionals (S, m, n)
     # and value I, which its step raises; the loop works on the live rows
-    psis = np.stack([_haar_from_rng(rng, d, m) for rng in rngs])
+    psis = _haar_stack(rngs, d, m)
     weights = np.full((starts, m), 1.0 / m)
     cond = _born(factor, psis)
     values = _mutual_information_bits(weights, cond)
@@ -450,14 +487,18 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     outcome probabilities |psi_i|^2 of each state are needed, and for a Haar
     state they are uniform on the probability simplex: d i.i.d. standard
     exponentials divided by their sum (Wootters 1990). So each sample is
-    drawn as such a normalized exponential row, and no state is built.
-    Samples are drawn and reduced max(1, _CHUNK_ENTRIES // d) rows at a time
-    on the calling thread, in two buffers allocated once: one for the draws
-    and one for their log2 pass. Memory stays at two cache-sized buffers (two
-    rows when d exceeds _CHUNK_ENTRIES) whatever the sample count and the
-    dimension.
+    drawn as such a normalized exponential row, and no state is built. The
+    exponentials are drawn by inversion, -ln u of uniforms u, with u = 0
+    floored at _LOG_FLOOR. Samples are drawn and reduced
+    max(1, _CHUNK_ENTRIES // d) rows at a time on the calling thread, in two
+    buffers allocated once: one for the draws and one for their log2 pass.
+    Memory stays at two cache-sized buffers (two rows when d exceeds
+    _CHUNK_ENTRIES) whatever the sample count. A d above _MAX_FLOOR_DIM
+    raises InvalidInput before any buffer is allocated.
     """
     d = _check_count(d, 2)
+    if d > _MAX_FLOOR_DIM:
+        raise InvalidInput(f"dimension (--dim) must be at most {_MAX_FLOOR_DIM}, got {d}")
     samples = _check_count(samples, d * d, what="samples")
     seed = _check_count(seed, 0, InvalidInput, "seed")
     # normalized exponential rows: the law of a Haar state's squared moduli
@@ -467,11 +508,14 @@ def scrooge_lower_bound_estimate(d: int, samples: int, seed: int = 0) -> float:
     q_sum = np.zeros(d)
     entropy_sum = 0.0
     for done in range(0, samples, rows):
-        e = rng.standard_exponential(out=e_buf[: min(rows, samples - done)])
+        # exponentials by inversion, -ln u of uniforms u in [0, 1), in place;
+        # u = 0 is floored at _LOG_FLOOR, so no draw reaches log 0
+        e = rng.random(out=e_buf[: min(rows, samples - done)])
+        np.negative(np.log(np.maximum(e, _LOG_FLOOR, out=e), out=e), out=e)
         log_e = log_buf[: len(e)]
         t = e.sum(axis=1)
-        # the row e/t has entropy log2 t - sum e log2 e / t; a zero draw
-        # gives 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
+        # the row e/t has entropy log2 t - sum e log2 e / t; a zero entry
+        # would give 0 * log2(_LOG_FLOOR) = 0, the 0 log 0 = 0 convention
         np.log2(np.maximum(e, _LOG_FLOOR, out=log_e), out=log_e)
         q_sum += (1.0 / t) @ e
         entropy_sum += float(np.sum(np.log2(t) - _row_dot(e, log_e) / t))

@@ -328,6 +328,19 @@ class TestOptimizerCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "starts" in err and str(optimize._MAX_STARTS) in err
 
+    def test_floor_dimension_above_the_cap_is_usage_error(self, capsys, monkeypatch):
+        # the cap is checked before any buffer is allocated: an 8 TiB draw row
+        def fail(*args, **kwargs):
+            raise AssertionError("a buffer was allocated")
+
+        monkeypatch.setattr(np, "empty", fail)
+        argv = ["scrooge", "--dim", str(2**40), "--samples", str(2**80), "--seed", "1"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--dim" in err and str(optimize._MAX_FLOOR_DIM) in err
+
     @pytest.mark.parametrize("command", ["power", "minent"])
     def test_report_keys(self, capsys, command):
         # the JSON contract README lists; a new key is a deliberate change

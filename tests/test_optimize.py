@@ -354,6 +354,19 @@ class TestDivergenceAscent:
         first = [_haar_from_rng(np.random.default_rng(seed), p.dim)[0] for seed in seeds]
         assert np.array_equal(psi0, np.array(first))
 
+    @pytest.mark.parametrize(
+        "starts, d, n",
+        [(200, 4, 1), (24, 3, 3 * 64), (12, 2, 3 * 64)],
+        ids=["minent-d4-pool1", "check-qutrit-pool64", "check-tetrahedral-pool64"],
+    )
+    def test_one_buffer_draw_equals_the_per_stream_draws(self, starts, d, n):
+        # _haar_stack fills one buffer stream by stream; each stream draws
+        # what _haar_from_rng draws from it, and ends where it ends
+        rngs, alone = optimize._start_rngs(5, starts), optimize._start_rngs(5, starts)
+        stacked = optimize._haar_stack(rngs, d, n)
+        assert np.array_equal(stacked, np.stack([_haar_from_rng(rng, d, n) for rng in alone]))
+        assert [rng.random() for rng in rngs] == [rng.random() for rng in alone]
+
     @pytest.mark.parametrize("povm", [sic.tetrahedral_povm, sic.qutrit_sic_povm])
     def test_min_entropy_is_the_entropy_of_its_state(self, povm):
         p = povm()
@@ -1044,7 +1057,9 @@ class TestBarzilaiBorwein:
 
 
 class TestReweightPrior:
-    """The Blahut-Arimoto reweighting runs every sweep on every row."""
+    """The Blahut-Arimoto reweighting runs every sweep on every row, and no
+    row's I falls: a row that the over-relaxed sweeps leave below its input
+    takes plain sweeps."""
 
     def stack(self, seed, starts, m, n):
         rng = np.random.default_rng(seed)
@@ -1070,6 +1085,45 @@ class TestReweightPrior:
         before = _mutual_information_bits(weights, cond)
         assert np.all(_mutual_information_bits(reweighted, cond) >= before)
 
+    @staticmethod
+    def sweeps(weights, cond, mu):
+        """Reference: _REWEIGHT_SWEEPS sweeps w <- w 2^(mu D(p(.|x) || q)) on
+        every row, renormalized, mu folded into both sums of D."""
+        c_logc = optimize._row_dot(cond, np.log2(np.maximum(cond, optimize._LOG_FLOOR)))
+        w = weights
+        for _ in range(optimize._REWEIGHT_SWEEPS):
+            log_q = np.log2(np.maximum(_outcome_marginal(w, cond), optimize._LOG_FLOOR))
+            w = w * np.exp2(mu * c_logc - (mu * cond @ log_q[..., None])[..., 0])
+            w /= w.sum(axis=-1, keepdims=True)
+        return w
+
+    def test_rows_where_over_relaxation_lowers_information_take_plain_sweeps(self):
+        # a stack where mu = 3 lowers I on some rows (3 of 12) and not on the others
+        weights, cond = self.stack(57, 12, 16, 16)
+        before = _mutual_information_bits(weights, cond)
+        over = self.sweeps(weights, cond, optimize._OVER_RELAX)
+        fell = _mutual_information_bits(over, cond) < before
+        assert 0 < fell.sum() < len(fell)
+        reweighted = _reweight_prior(weights, cond)
+        assert np.array_equal(reweighted[fell], self.sweeps(weights, cond, 1.0)[fell])
+        assert np.array_equal(reweighted[~fell], over[~fell])
+        assert np.all(_mutual_information_bits(reweighted, cond) >= before)
+        for r in range(len(weights)):
+            alone = _reweight_prior(weights[r : r + 1], cond[r : r + 1])
+            assert np.array_equal(reweighted[r : r + 1], alone)
+
+    def test_rows_that_plain_sweeps_leave_below_keep_their_input(self, monkeypatch):
+        # sweeps that send every prior to a point mass, where I = 0: both
+        # tiers fall, so every row keeps its input weights
+        weights, cond = self.stack(58, 12, 9, 9)
+        assert np.all(_mutual_information_bits(weights, cond) > 0)
+
+        def point_mass(w, cond, c_logc, mu):
+            return np.eye(w.shape[-1])[np.zeros(len(w), dtype=int)]
+
+        monkeypatch.setattr(optimize, "_blahut_arimoto", point_mass)
+        assert np.array_equal(_reweight_prior(weights, cond), weights)
+
     @pytest.mark.parametrize("seed, m, n", [(31, 4, 4), (32, 9, 9), (33, 16, 16), (34, 5, 3)])
     def test_information_kernel_equals_the_public_one(self, seed, m, n):
         # exact zeros in the conditionals, which the see-saw reads through its floor
@@ -1088,24 +1142,25 @@ class TestBatchedStarts:
     # each row's (each ensemble's) last move; the see-saw entries are those
     # of the block see-saw, which ascends all states of an ensemble in one step
     # and checks first-order optimality every _CHECK_EVERY iterations, each
-    # check ascent from the best of _CHECK_POOL Haar draws. The
+    # check ascent from the best of _CHECK_POOL Haar draws, and the prior
+    # reweighted by guarded over-relaxed sweeps. The
     # iteration counts are those of Born probabilities and gradients taken
     # through the POVM's factor: a kernel that rounds differently can move a
     # start's stop by one check or one step.
     SERIAL = {
         "power-tetrahedral": (
             [
-                0.4150374992788438,
-                0.4150374992788439,
+                0.415037499278844,
+                0.415037499278844,
+                0.4150374992788441,
+                0.41503749927884376,
                 0.41503749927884404,
-                0.4150374992788439,
-                0.41503749927884415,
-                0.41503749927884387,
+                0.4150374992788441,
             ],
-            [20, 20, 20, 20, 30, 25],
+            [20, 25, 20, 20, 30, 25],
         ),
         "power-qutrit": (
-            [0.5849625007211562, 0.5849625007210684, 0.5849625007211563, 0.5849625007211341],
+            [0.5849625007211563, 0.5849625007210694, 0.5849625007211563, 0.5849625007211385],
             [15, 15, 20, 45],
         ),
         "minent-qutrit": (
@@ -1165,6 +1220,12 @@ class TestBatchedStarts:
         assert all(v.base is None or v.base.size <= owned for v in states)
 
 
+def _exponentials(u):
+    """Standard exponentials -ln u of uniforms u, u floored as the floor's draw
+    floors it."""
+    return -np.log(np.maximum(u, optimize._LOG_FLOOR))
+
+
 def _serial_scrooge(d, samples, seed):
     """Reference: the Monte-Carlo floor drawn and reduced chunk by chunk, a
     fresh array per chunk, from the same stream in the same order."""
@@ -1173,8 +1234,7 @@ def _serial_scrooge(d, samples, seed):
     q_sum = np.zeros(d)
     entropy_sum = 0.0
     for done in range(0, samples, rows):
-        e = np.empty((min(rows, samples - done), d))
-        rng.standard_exponential(out=e)
+        e = _exponentials(rng.random(size=(min(rows, samples - done), d)))
         t = e.sum(axis=1)
         log_e = np.log2(np.maximum(e, optimize._LOG_FLOOR))
         q_sum += (1.0 / t) @ e
@@ -1209,7 +1269,7 @@ class TestScroogeEstimate:
         d = 4
         chunk = optimize._CHUNK_ENTRIES // d
         rng = np.random.Generator(np.random.PCG64(5))
-        q = np.concatenate([rng.standard_exponential(size=(n, d)) for n in (chunk, chunk, 123)])
+        q = np.concatenate([_exponentials(rng.random(size=(n, d))) for n in (chunk, chunk, 123)])
         q /= q.sum(axis=1, keepdims=True)
         per_state = -np.sum(q * np.log2(q), axis=1)
         expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
@@ -1222,32 +1282,35 @@ class TestScroogeEstimate:
         # where the budget is smaller than a row
         monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
         rng = np.random.Generator(np.random.PCG64(3))
-        q = rng.standard_exponential(size=(samples, d))
+        q = _exponentials(rng.random(size=(samples, d)))
         q /= q.sum(axis=1, keepdims=True)
         expected = infotheory._entropy_bits(q.mean(axis=0)) - infotheory._entropy_bits(q).mean()
         est = scrooge_lower_bound_estimate(d, samples, seed=3)
         assert est == pytest.approx(expected, abs=1e-12)
 
     def test_zero_draws_count_as_zero_log_zero(self, monkeypatch):
-        # exact zeros among the draws (about one in 5.5 here) must follow
-        # 0 log 0 = 0; a bare log2 of a zero would raise a RuntimeWarning
+        # exact u = 0 uniforms among the draws (about one in 10 here) must
+        # never reach an unfloored log: a bare log of a zero would raise a
+        # RuntimeWarning, and an infinite draw would make the estimate NaN
         real = np.random.Generator
 
         class ZeroingGenerator:
             def __init__(self, bit_generator):
                 self._rng = real(bit_generator)
 
-            def standard_exponential(self, size=None, out=None):
-                e = self._rng.standard_exponential(size=size, out=out)
-                e[e < 0.2] = 0.0
-                return e
+            def random(self, size=None, out=None):
+                u = self._rng.random(size=size, out=out)
+                u[u < 0.1] = 0.0
+                return u
 
         monkeypatch.setattr(np.random, "Generator", ZeroingGenerator)
         d, samples = 8, 3000
-        e = ZeroingGenerator(np.random.PCG64(4)).standard_exponential(size=(samples, d))
-        assert np.all(e.sum(axis=1) > 0) and np.mean(e == 0.0) > 0.1
+        u = ZeroingGenerator(np.random.PCG64(4)).random(size=(samples, d))
+        assert np.mean(u == 0.0) > 0.05
+        e = _exponentials(u)
+        assert np.all(np.isfinite(e)) and np.all(e > 0)
         q = e / e.sum(axis=1, keepdims=True)
-        per_state = -np.sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0), axis=1)
+        per_state = -np.sum(q * np.log2(q), axis=1)
         expected = infotheory._entropy_bits(q.mean(axis=0)) - per_state.mean()
         est = scrooge_lower_bound_estimate(d, samples, seed=4)
         assert np.isfinite(est)
@@ -1304,11 +1367,11 @@ class TestScroogeEstimate:
                 self._rng = real(bit_generator)
                 self.calls = 0
 
-            def standard_exponential(self, size=None, out=None):
+            def random(self, size=None, out=None):
                 self.calls += 1
                 if self.calls == 2:
                     raise MemoryError("second chunk")
-                return self._rng.standard_exponential(size=size, out=out)
+                return self._rng.random(size=size, out=out)
 
         monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 64)
         monkeypatch.setattr(np.random, "Generator", FailingGenerator)
@@ -1374,6 +1437,33 @@ class TestScroogeEstimate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 16 * 1024
+
+
+class TestFloorDimensionCap:
+    """A floor above _MAX_FLOOR_DIM dimensions is a usage error, raised before
+    any buffer is allocated; at the cap the call reaches its buffers."""
+
+    class Reached(Exception):
+        pass
+
+    def test_above_the_cap_raises_before_any_buffer(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a buffer was allocated")
+
+        monkeypatch.setattr(np, "empty", fail)
+        for d in (optimize._MAX_FLOOR_DIM + 1, 2**40):
+            with pytest.raises(InvalidInput, match=f"--dim.* {optimize._MAX_FLOOR_DIM}, got {d}"):
+                scrooge_lower_bound_estimate(d, d * d, seed=1)
+
+    def test_the_cap_itself_reaches_its_buffers(self, monkeypatch):
+        def reached(shape, *args, **kwargs):
+            assert shape[-1] == optimize._MAX_FLOOR_DIM
+            raise self.Reached
+
+        monkeypatch.setattr(np, "empty", reached)
+        d = optimize._MAX_FLOOR_DIM
+        with pytest.raises(self.Reached):
+            scrooge_lower_bound_estimate(d, d * d, seed=1)
 
 
 class TestUniformPovmApproximant:
